@@ -1,18 +1,17 @@
 """Command-line interface: point evaluations, verification, figure data.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
-3 quadrature convergence failure, 4 output I/O failure.
+3 quadrature convergence failure, 4 output I/O failure, 5 internal error.
+
+numpy is imported only by the commands that build arrays (quadrature,
+Monte Carlo, figures, verify); the closed-form point commands never load it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import entropy as entropy_mod
 from . import oracle
@@ -24,13 +23,39 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _fmt17(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip exact)."""
-    return np.format_float_positional(
-        float(x), precision=17, unique=False, fractional=False, trim="k"
-    )
+    """Render a float in positional notation with 17 significant digits.
+
+    The digits are those of the exact binary value, correctly rounded, so
+    the text round-trips. Below 1 in magnitude, trailing zeros that come
+    from an exact remainder or a round-up carry are dropped, down to 16
+    decimals (0.5 -> 0.5000000000000000, 0.1 -> 0.10000000000000001).
+    From 1e16 up, every integer digit is printed, then ".". nan, inf and
+    -inf print as such. The output is byte-identical to numpy's
+    ``format_float_positional(x, precision=17, unique=False,
+    fractional=False, trim="k")``.
+    """
+    x = float(x)
+    s = "%#.17g" % x  # exponent form outside [1e-4, 1e17)
+    if "e" in s:
+        mantissa, _, exp = s.partition("e")
+        sign = "-" if x < 0.0 else ""
+        digits = mantissa.lstrip("-").replace(".", "")
+        e = int(exp)
+        if e > 0:
+            return sign + digits + "0" * (e - 16) + "."
+        s = sign + "0." + "0" * (-1 - e) + digits
+    if s[-1] == "0" and 0.0 < abs(x) < 1.0:
+        # the zeros are dropped when the exact value is at most the
+        # rounded one: |x| = num/den against fraction/10**decimals
+        point = s.index(".")
+        num, den = abs(x).as_integer_ratio()
+        if num * 10 ** (len(s) - point - 1) <= int(s[point + 1 :]) * den:
+            return s.rstrip("0").ljust(point + 17, "0")
+    return s
 
 
 def _rate_arg(text: str) -> float:
@@ -81,24 +106,6 @@ def _seed_arg(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Which figure data set to generate, at what resolution, to where."""
-
-    figure_id: str
-    grid_points: int = 200
-    output_path: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.figure_id not in ("fig1", "fig2"):
-            raise ValueError(f"figure_id must be fig1 or fig2, got {self.figure_id!r}")
-        if int(self.grid_points) < 2:
-            raise ValueError(f"grid_points must be at least 2, got {self.grid_points!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
 
 
 def cmd_entropy(args) -> int:
@@ -152,6 +159,8 @@ def _fig1_rows(grid_points: int):
     equal-rate Erlang-2 curve and the single-exponential curve over a
     shared grid.
     """
+    import numpy as np
+
     rows = []
     for k in range(1, 11):
         lw = round(0.2 * k, 1)
@@ -174,6 +183,8 @@ def _fig2_rows(grid_points: int):
     where the curve touches the Erlang-2 line, is appended so the contact
     appears exactly in the data.
     """
+    import numpy as np
+
     grid = {float(g) for g in np.geomspace(1.01, 100.0, grid_points)}
     grid.add(2.0)
     ref_exp = entropy_mod.exp_entropy(1.0)
@@ -195,6 +206,7 @@ def _fig2_rows(grid_points: int):
 
 
 def _render_csv(header, rows) -> str:
+    fmt = _fmt17  # a local name: one global lookup fewer per cell
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -204,41 +216,35 @@ def _render_csv(header, rows) -> str:
             elif isinstance(value, str):
                 cells.append(value)
             else:
-                cells.append(_fmt17(value))
+                cells.append(fmt(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(header, rows) -> str:
+    import json
+
     records = [dict(zip(header, row)) for row in rows]
     return json.dumps(records, indent=2) + "\n"
 
 
 def cmd_figure(args) -> int:
-    spec = SweepSpec(
-        figure_id=args.figure_id,
-        grid_points=args.grid_points,
-        output_path=args.out,
-        format=args.format,
-    )
-    header, rows = (
-        _fig1_rows(spec.grid_points)
-        if spec.figure_id == "fig1"
-        else _fig2_rows(spec.grid_points)
-    )
-    content = (
-        _render_csv(header, rows) if spec.format == "csv" else _render_json(header, rows)
-    )
-    if spec.output_path is None:
+    rows_of = _fig1_rows if args.figure_id == "fig1" else _fig2_rows
+    header, rows = rows_of(args.grid_points)
+    render = _render_csv if args.format == "csv" else _render_json
+    content = render(header, rows)
+    if args.out is None:
         sys.stdout.write(content)
     else:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)
     return EXIT_OK
 
 
 def _verify_checks(seed: int, samples: int, abs_tol: float):
     """Run the oracle agreement suite; yields (name, measured, limit) rows."""
+    import numpy as np
+
     cfg = oracle.QuadratureConfig(abs_tol=abs_tol)
     grid = [float(g) for g in np.geomspace(0.1, 10.0, 7)]
 
@@ -350,6 +356,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # keep 1 for verification failures only
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,14 +9,19 @@ with normalization c = lambda_hi * lambda_lo / (lambda_hi - lambda_lo).
 When the two rates coincide this expression is 0/0; the sum is then
 Erlang-2 distributed, and the objects here switch to the exact Erlang-2
 forms once the relative rate gap drops below ``DEGENERACY_RTOL``.
+
+numpy is imported inside the array functions, not at module level, so
+that importing the package for its scalar closed forms does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy
 
 #: Relative rate gap below which the two-phase form degrades to Erlang-2.
 #: Below this the difference lambda_hi - lambda_lo has no significant bits
@@ -31,13 +36,9 @@ def _require_rate(value: float, name: str) -> float:
     return value
 
 
-def _as_array(y):
-    arr = np.asarray(y, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
+def _ret(out, arr):
+    """``out``, as a float when the input array ``arr`` is 0-d."""
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,12 @@ class Exponential:
         object.__setattr__(self, "rate", _require_rate(self.rate, "rate"))
 
     def pdf(self, y):
-        arr, scalar = _as_array(y)
+        import numpy as np
+
+        arr = np.asarray(y, dtype=float)
         yc = np.maximum(arr, 0.0)
         val = self.rate * np.exp(-self.rate * yc)
-        return _ret(np.where(arr < 0.0, 0.0, val), scalar)
+        return _ret(np.where(arr < 0.0, 0.0, val), arr)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -99,10 +102,12 @@ class Erlang2:
         object.__setattr__(self, "rate", _require_rate(self.rate, "rate"))
 
     def pdf(self, y):
-        arr, scalar = _as_array(y)
+        import numpy as np
+
+        arr = np.asarray(y, dtype=float)
         yc = np.maximum(arr, 0.0)
         val = self.rate * self.rate * yc * np.exp(-self.rate * yc)
-        return _ret(np.where(arr < 0.0, 0.0, val), scalar)
+        return _ret(np.where(arr < 0.0, 0.0, val), arr)
 
     def mean(self) -> float:
         return 2.0 / self.rate
@@ -155,7 +160,9 @@ def hypoexp_pdf(d: HypoexpTwo, y):
     In the degenerate regime this is the Erlang-2 density
     lambda^2 * y * exp(-lambda * y).
     """
-    arr, scalar = _as_array(y)
+    import numpy as np
+
+    arr = np.asarray(y, dtype=float)
     yc = np.maximum(arr, 0.0)
     if d.is_degenerate:
         lam = d.erlang_rate
@@ -166,7 +173,7 @@ def hypoexp_pdf(d: HypoexpTwo, y):
         # the difference of exponentials can round to a tiny negative for
         # y within a few ulp of 0; the true density is never negative
         val = np.maximum(val, 0.0)
-    return _ret(np.where(arr < 0.0, 0.0, val), scalar)
+    return _ret(np.where(arr < 0.0, 0.0, val), arr)
 
 
 def hypoexp_log_pdf(d: HypoexpTwo, y):
@@ -174,7 +181,9 @@ def hypoexp_log_pdf(d: HypoexpTwo, y):
 
     Returns -inf where the density is 0 (y <= 0).
     """
-    arr, scalar = _as_array(y)
+    import numpy as np
+
+    arr = np.asarray(y, dtype=float)
     yc = np.maximum(arr, 1e-300)
     with np.errstate(divide="ignore"):
         if d.is_degenerate:
@@ -190,12 +199,14 @@ def hypoexp_log_pdf(d: HypoexpTwo, y):
                 + np.log1p(-np.exp(-gap * yc))
             )
     out = np.where(arr <= 0.0, -np.inf, val)
-    return _ret(out, scalar)
+    return _ret(out, arr)
 
 
 def hypoexp_cdf(d: HypoexpTwo, y):
     """Cumulative distribution of ``d`` at ``y``; 0 for y < 0, -> 1 as y grows."""
-    arr, scalar = _as_array(y)
+    import numpy as np
+
+    arr = np.asarray(y, dtype=float)
     yc = np.maximum(arr, 0.0)
     if d.is_degenerate:
         lam = d.erlang_rate
@@ -207,7 +218,7 @@ def hypoexp_cdf(d: HypoexpTwo, y):
             - (-np.expm1(-r.lambda_hi * yc)) / r.lambda_hi
         )
     val = np.clip(val, 0.0, 1.0)
-    return _ret(np.where(arr < 0.0, 0.0, val), scalar)
+    return _ret(np.where(arr < 0.0, 0.0, val), arr)
 
 
 def hypoexp_mean(d: HypoexpTwo) -> float:
@@ -216,7 +227,7 @@ def hypoexp_mean(d: HypoexpTwo) -> float:
     return 1.0 / r.lambda_hi + 1.0 / r.lambda_lo
 
 
-def sample_hypoexp(d: HypoexpTwo, rng: np.random.Generator, size: int | None = None):
+def sample_hypoexp(d: HypoexpTwo, rng: numpy.random.Generator, size: int | None = None):
     """Draw Y = W + X by inverse-CDF sampling of the two exponentials.
 
     Each exponential draw is -log(1 - U)/rate with U uniform on [0, 1);
@@ -227,6 +238,8 @@ def sample_hypoexp(d: HypoexpTwo, rng: np.random.Generator, size: int | None = N
 
     Returns a scalar when ``size`` is None, else an array of length ``size``.
     """
+    import numpy as np
+
     r = d.rates
     n = 1 if size is None else int(size)
     if n < 1:

@@ -13,15 +13,18 @@ entropy expressions:
   -(gamma + psi(u/v + 1))/u is tabulated in Gradshteyn and Ryzhik's
   integral tables; checking one against the other validates the identity
   the entropy derivation rests on.
+
+numpy is imported inside the functions that build arrays, and the
+Gauss-Kronrod tables are built on first use, so importing this module
+does not load numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dist import Erlang2, Exponential, HypoexpTwo, hypoexp_log_pdf, sample_hypoexp
 
@@ -89,34 +92,46 @@ _WG = (
     0.4179591836734694,
 )
 
-_NODES = np.concatenate((-np.array(_XGK[:-1]), np.array(_XGK[::-1])))
-_WEIGHTS_K = np.concatenate((np.array(_WGK[:-1]), np.array(_WGK[::-1])))
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[[1, 13]] = _WG[0]
-_WEIGHTS_G[[3, 11]] = _WG[1]
-_WEIGHTS_G[[5, 9]] = _WG[2]
-_WEIGHTS_G[7] = _WG[3]
 
+@functools.cache
+def _gk15():
+    """The Gauss-Kronrod 15(7) panel rule, built once on first use.
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15(7) panel: (kronrod value, error estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    kronrod = half * float(_WEIGHTS_K @ fx)
-    gauss = half * float(_WEIGHTS_G @ fx)
-    return kronrod, abs(kronrod - gauss)
+    Returns ``panel(f, a, b) -> (kronrod value, error estimate)``.
+    """
+    import numpy as np
+
+    nodes = np.concatenate((-np.array(_XGK[:-1]), np.array(_XGK[::-1])))
+    weights_k = np.concatenate((np.array(_WGK[:-1]), np.array(_WGK[::-1])))
+    weights_g = np.zeros(15)
+    weights_g[[1, 13]] = _WG[0]
+    weights_g[[3, 11]] = _WG[1]
+    weights_g[[5, 9]] = _WG[2]
+    weights_g[7] = _WG[3]
+
+    def panel(f, a: float, b: float) -> tuple[float, float]:
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        fx = np.asarray(f(mid + half * nodes), dtype=float)
+        kronrod = half * float(weights_k @ fx)
+        gauss = half * float(weights_g @ fx)
+        return kronrod, abs(kronrod - gauss)
+
+    return panel
 
 
 def _adaptive(f, a: float, b: float, abs_tol: float, max_subdivisions: int) -> float:
     """Globally adaptive bisection, always splitting the worst panel."""
+    import numpy as np
+
+    gk15 = _gk15()
     initial = 4
     edges = np.linspace(a, b, initial + 1)
     heap = []
     counter = 0  # tie-breaker so the heap never compares closures
     total_err = 0.0
     for i in range(initial):
-        val, err = _gk15(f, edges[i], edges[i + 1])
+        val, err = gk15(f, edges[i], edges[i + 1])
         heap.append((-err, counter, edges[i], edges[i + 1], val))
         counter += 1
         total_err += err
@@ -130,8 +145,8 @@ def _adaptive(f, a: float, b: float, abs_tol: float, max_subdivisions: int) -> f
             )
         neg_err, _, pa, pb, _ = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        val1, err1 = _gk15(f, pa, mid)
-        val2, err2 = _gk15(f, mid, pb)
+        val1, err1 = gk15(f, pa, mid)
+        val2, err2 = gk15(f, mid, pb)
         total_err += err1 + err2 + neg_err
         heapq.heappush(heap, (-err1, counter, pa, mid, val1))
         counter += 1
@@ -197,6 +212,8 @@ def _truncation_point(d, abs_tol: float) -> float:
 
 
 def _neg_f_log_f(d):
+    import numpy as np
+
     def integrand(y):
         f = np.asarray(d.pdf(y), dtype=float)
         out = np.zeros_like(f)
@@ -234,6 +251,8 @@ def entropy_monte_carlo(d: HypoexpTwo, n: int, seed: int) -> EstimateWithError:
     standard error (sample standard deviation over sqrt(n)). Bit-identical
     across runs with equal (d, n, seed).
     """
+    import numpy as np
+
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be at least 2 to form a standard error, got {n}")
@@ -257,6 +276,8 @@ def gr_log_integral(u: float, v: float, cfg: QuadratureConfig = _DEFAULT_CFG) ->
     both for d <= 1/4 (with p = u/v). The closed form this should match
     is -(gamma + psi(u/v + 1))/u.
     """
+    import numpy as np
+
     u = float(u)
     v = float(v)
     if not (math.isfinite(u) and u > 0.0):

@@ -1,13 +1,20 @@
 """CLI surface: output records, validation exits, figure files, verify."""
 
+import functools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import expsum
 import expsum.entropy
-from expsum.cli import main
+from expsum import cli
+from expsum.cli import _fmt17, main
 from expsum.specfun import EULER_GAMMA
 
 
@@ -295,3 +302,85 @@ class TestDeterminism:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("exc", [MemoryError("no room"), ZeroDivisionError("division by zero")])
+    def test_unexpected_exception_exits_five(self, capsys, monkeypatch, exc):
+        def boom(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_entropy", boom)
+        code, out, err = run(capsys, ["entropy", "--lambda-w", "2", "--lambda-x", "1"])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+numpy_positional = functools.partial(
+    np.format_float_positional, precision=17, unique=False, fractional=False, trim="k"
+)
+
+
+class TestFormat17:
+    def test_documented_cases(self):
+        assert _fmt17(0.5) == "0.5000000000000000"
+        assert _fmt17(0.00123) == "0.0012300000000000"
+        assert _fmt17(0.1) == "0.10000000000000001"
+        assert _fmt17(12.5) == "12.500000000000000"
+        assert _fmt17(1e16) == "10000000000000000."
+        assert [_fmt17(v) for v in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]
+
+    def test_matches_numpy_positional(self):
+        # seeded doubles from every class the formatter branches on
+        rng = np.random.default_rng(20161121)
+        powers = 10.0 ** np.arange(-323, 309)
+        values = np.concatenate((
+            rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
+            10.0 ** rng.uniform(-323, 308.2, 50_000),
+            -(10.0 ** rng.uniform(-8, 20, 60_000)),
+            rng.integers(-10**6, 10**6, 30_000) / 10.0 ** rng.integers(1, 9, 30_000),
+            rng.integers(1, 2**52, 5_000) * 2.0**-1074,
+            rng.uniform(1e15, 1e18, 10_000),
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e16,
+             np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 1e17, 1e-4,
+             np.nextafter(1e-4, 0.0)],
+        )).tolist()
+        assert len(values) >= 200_000
+        ours = list(map(_fmt17, values))
+        theirs = list(map(numpy_positional, values))
+        assert [(v, a, b) for v, a, b in zip(values, ours, theirs) if a != b] == []
+
+
+class TestImports:
+    def test_point_commands_do_not_load_numpy(self):
+        script = """
+import contextlib, io, sys
+import expsum, expsum.cli
+loaded = ["numpy" in sys.modules]
+for argv in (
+    ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "closed"],
+    ["mi", "--signal-rate", "1", "--noise-rate", "2"],
+    ["cond-entropy", "--lambda-x", "1", "--lambda-w-on", "2",
+     "--lambda-w-off", "0.5", "--p-on", "0.5"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert expsum.cli.main(argv) == 0
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+        src = str(pathlib.Path(expsum.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False, False, False]"
+
+    def test_star_import_binds_all_names_eagerly(self):
+        namespace = {}
+        exec("from expsum import *", namespace)
+        assert set(expsum.__all__) <= namespace.keys()
+        assert set(expsum.__all__) <= vars(expsum).keys()
