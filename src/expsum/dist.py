@@ -227,24 +227,30 @@ def hypoexp_mean(d: HypoexpTwo) -> float:
     return 1.0 / r.lambda_hi + 1.0 / r.lambda_lo
 
 
+def exponential_draws(rng: numpy.random.Generator, n: int, rate: float):
+    """n inverse-CDF exponential draws, -log(1 - U)/rate, from the next n
+    uniforms U on [0, 1) of ``rng``."""
+    import numpy as np
+
+    return -np.log1p(-rng.random(n)) / rate
+
+
 def sample_hypoexp(d: HypoexpTwo, rng: numpy.random.Generator, size: int | None = None):
     """Draw Y = W + X by inverse-CDF sampling of the two exponentials.
 
     Each exponential draw is -log(1 - U)/rate with U uniform on [0, 1);
-    the lambda_hi block of uniforms is consumed first, then the lambda_lo
-    block, so the output is fully determined by the generator state. Pass
+    the lambda_hi block of n uniforms is consumed first, then the
+    lambda_lo block, which starts n draws after the lambda_hi block
+    (``entropy_monte_carlo`` relies on this to stream the same samples in
+    chunks). The output is fully determined by the generator state. Pass
     ``np.random.default_rng(seed)`` (PCG64) for a documented, seedable
     stream; two generators with equal seeds yield identical samples.
 
     Returns a scalar when ``size`` is None, else an array of length ``size``.
     """
-    import numpy as np
-
     r = d.rates
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError(f"size must be at least 1, got {size!r}")
-    w = -np.log1p(-rng.random(n)) / r.lambda_hi
-    x = -np.log1p(-rng.random(n)) / r.lambda_lo
-    y = w + x
+    y = exponential_draws(rng, n, r.lambda_hi) + exponential_draws(rng, n, r.lambda_lo)
     return float(y[0]) if size is None else y

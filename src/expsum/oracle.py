@@ -26,7 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .dist import Erlang2, Exponential, HypoexpTwo, hypoexp_log_pdf, sample_hypoexp
+from .dist import Erlang2, Exponential, HypoexpTwo, exponential_draws, hypoexp_log_pdf
 
 
 class ConvergenceError(RuntimeError):
@@ -61,6 +61,10 @@ class EstimateWithError:
 
 
 _DEFAULT_CFG = QuadratureConfig()
+
+#: Samples drawn and evaluated per chunk by ``entropy_monte_carlo``. Peak
+#: memory grows with it; at 10^7 samples no size from 2^14 to 2^20 ran faster.
+MC_CHUNK = 1 << 16
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
 # (QUADPACK dqk15 abscissae and weights). The embedded Gauss value uses
@@ -246,22 +250,48 @@ def normalization_quadrature(d, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
 def entropy_monte_carlo(d: HypoexpTwo, n: int, seed: int) -> EstimateWithError:
     """Resubstitution entropy estimate from n seeded samples.
 
-    Draws Y_1..Y_n with ``sample_hypoexp`` under ``default_rng(seed)``
-    (PCG64) and returns the sample mean of -ln f(Y_i) together with its
-    standard error (sample standard deviation over sqrt(n)). Bit-identical
-    across runs with equal (d, n, seed).
+    Draws Y_1..Y_n from the ``sample_hypoexp`` stream of
+    ``default_rng(seed)`` (PCG64) and returns the sample mean of -ln f(Y_i)
+    together with its standard error (sample standard deviation over
+    sqrt(n)). Bit-identical across runs with equal (d, n, seed).
+
+    The samples are streamed in chunks of ``MC_CHUNK``: a second generator,
+    advanced by n draws, supplies the lambda_lo block, so chunk i uses the
+    same uniforms as the one-shot ``sample_hypoexp(d, rng, n)``. Only the n
+    values of -ln f are kept (about 8 bytes per sample, plus a fixed chunk
+    buffer), and the mean and variance are the reductions that
+    ``vals.mean()`` and ``vals.std(ddof=1)`` perform, done in place, so the
+    estimates are bit-identical to the one-shot form.
+
+    Raises FloatingPointError, naming the first offending sample, when the
+    estimate is not finite (the log-density was -inf or nan at a sample).
     """
     import numpy as np
 
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be at least 2 to form a standard error, got {n}")
-    rng = np.random.default_rng(seed)
-    ys = sample_hypoexp(d, rng, size=n)
-    vals = -hypoexp_log_pdf(d, ys)
-    estimate = float(vals.mean())
-    std_error = float(vals.std(ddof=1) / math.sqrt(n))
-    return EstimateWithError(estimate=estimate, std_error=std_error, n_samples=n)
+    r = d.rates
+    rng_hi = np.random.default_rng(seed)
+    rng_lo = np.random.default_rng(seed)
+    rng_lo.bit_generator.advance(n)
+    vals = np.empty(n)
+    for start in range(0, n, MC_CHUNK):
+        k = min(MC_CHUNK, n - start)
+        y = exponential_draws(rng_hi, k, r.lambda_hi)
+        y += exponential_draws(rng_lo, k, r.lambda_lo)
+        np.negative(hypoexp_log_pdf(d, y), out=vals[start : start + k])
+    mean = float(np.add.reduce(vals) / n)
+    if not math.isfinite(mean):
+        bad = int(np.argmin(np.isfinite(vals)))
+        raise FloatingPointError(
+            f"Monte-Carlo estimate is not finite: -ln f = {float(vals[bad])!r} at sample "
+            f"{bad} (rates {r.lambda_hi!r}, {r.lambda_lo!r}; n={n}, seed={seed})"
+        )
+    vals -= mean
+    np.multiply(vals, vals, out=vals)
+    std = math.sqrt(np.add.reduce(vals) / (n - 1))
+    return EstimateWithError(estimate=mean, std_error=std / math.sqrt(n), n_samples=n)
 
 
 def gr_log_integral(u: float, v: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:

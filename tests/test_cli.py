@@ -316,6 +316,20 @@ class TestInternalError:
         assert out == ""
         assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
+    def test_non_finite_monte_carlo_estimate_exits_five(self, capsys, monkeypatch):
+        def one_inf(d, y):
+            out = expsum.dist.hypoexp_log_pdf(d, y)
+            out[0] = -np.inf
+            return out
+
+        monkeypatch.setattr(expsum.oracle, "hypoexp_log_pdf", one_inf)
+        argv = ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "mc"]
+        code, out, err = run(capsys, argv + ["--n", "100", "--seed", "3"])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err.startswith("error: internal: FloatingPointError: ")
+        assert "seed=3" in err
+
 
 numpy_positional = functools.partial(
     np.format_float_positional, precision=17, unique=False, fractional=False, trim="k"

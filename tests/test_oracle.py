@@ -1,13 +1,16 @@
 """Numerical oracles: quadrature, Monte-Carlo estimator, log-integral."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from expsum.dist import Erlang2, Exponential, HypoexpTwo
+from expsum import oracle
+from expsum.dist import Erlang2, Exponential, HypoexpTwo, hypoexp_log_pdf, sample_hypoexp
 from expsum.entropy import erlang2_entropy
 from expsum.oracle import (
+    MC_CHUNK,
     ConvergenceError,
     EstimateWithError,
     QuadratureConfig,
@@ -112,6 +115,42 @@ class TestMonteCarlo:
         assert est.std_error > 0.0
         assert abs(est.estimate - closed) <= 5.0 * est.std_error
         assert est.n_samples == 10**5
+
+    @pytest.mark.parametrize("n", [2, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 5])
+    @pytest.mark.parametrize("rates", [(2.0, 1.0), (1.0, 1.0), (1e6, 1e-6)])
+    @pytest.mark.parametrize("seed", [42, 20161121])
+    def test_streaming_matches_one_shot_bit_for_bit(self, n, rates, seed):
+        # the one-shot form the chunked estimator must reproduce exactly
+        d = HypoexpTwo.from_rates(*rates)
+        vals = -hypoexp_log_pdf(d, sample_hypoexp(d, np.random.default_rng(seed), n))
+        expected = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)))
+        est = entropy_monte_carlo(d, n, seed)
+        assert (est.estimate, est.std_error) == expected
+
+    def test_memory_is_eight_bytes_per_sample_plus_a_chunk(self):
+        d = HypoexpTwo.from_rates(2.0, 1.0)
+        n = 10**6
+        entropy_monte_carlo(d, 1000, 0)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            entropy_monte_carlo(d, n, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 8 * 2**20
+
+    def test_non_finite_log_density_raises(self, monkeypatch):
+        def one_inf(d, y):
+            out = hypoexp_log_pdf(d, y)
+            out[min(7, out.size - 1)] = -np.inf
+            return out
+
+        monkeypatch.setattr(oracle, "hypoexp_log_pdf", one_inf)
+        with pytest.raises(FloatingPointError) as info:
+            entropy_monte_carlo(HypoexpTwo.from_rates(3.0, 2.0), 10, seed=5)
+        message = str(info.value)
+        for part in ("sample 7", "3.0", "2.0", "n=10", "seed=5"):
+            assert part in message
 
 
 class TestGrLogIntegral:
