@@ -37,7 +37,7 @@ from .oracle import (
     gr_log_integral,
     normalization_quadrature,
 )
-from .specfun import EULER_GAMMA, digamma, digamma_minus_log, euler_gamma
+from .specfun import EULER_GAMMA, digamma, digamma_minus_log
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "entropy_monte_carlo",
     "entropy_quadrature",
     "erlang2_entropy",
-    "euler_gamma",
     "exp_entropy",
     "gr_log_integral",
     "hypoexp_cdf",

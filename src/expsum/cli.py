@@ -151,8 +151,8 @@ def cmd_cond_entropy(args) -> int:
     return EXIT_OK
 
 
-def _fig1_rows(grid_points: int):
-    """Long-format rows (curve, lambda_w, lambda_x, entropy_nats).
+def _fig1_columns(grid_points: int):
+    """Long-format columns (curve, lambda_w, lambda_x, entropy_nats).
 
     Ten fixed-noise curves with lambda_w stepping 0.2 .. 2.0 in increments
     of 0.2 and lambda_x sweeping up to just below lambda_w, plus the
@@ -161,39 +161,36 @@ def _fig1_rows(grid_points: int):
     """
     import numpy as np
 
-    rows = []
-    for k in range(1, 11):
-        lw = round(0.2 * k, 1)
-        for lx in np.geomspace(0.01, lw * (1.0 - 1e-3), grid_points):
-            lx = float(lx)
-            h = entropy_mod.hypoexp_entropy(RatePair(lw, lx))
-            rows.append(("hypoexp", lw, lx, h))
-    shared = [float(x) for x in np.geomspace(0.01, 2.0, grid_points)]
-    for x in shared:
-        rows.append(("erlang2", x, x, entropy_mod.erlang2_entropy(x)))
-    for x in shared:
-        rows.append(("single", None, x, entropy_mod.exp_entropy(x)))
-    return ["curve", "lambda_w", "lambda_x", "entropy_nats"], rows
+    n = grid_points
+    noise = [round(0.2 * k, 1) for k in range(1, 11)]
+    lam_w = np.repeat(noise, n)
+    lam_x = np.concatenate([np.geomspace(0.01, lw * (1.0 - 1e-3), n) for lw in noise])
+    h = entropy_mod.hypoexp_entropy_array(lam_w, lam_x)
+    shared = np.geomspace(0.01, 2.0, n).tolist()
+    columns = [
+        ["hypoexp"] * (10 * n) + ["erlang2"] * n + ["single"] * n,
+        lam_w.tolist() + shared + [None] * n,
+        lam_x.tolist() + shared + shared,
+        h.tolist()
+        + list(map(entropy_mod.erlang2_entropy, shared))
+        + list(map(entropy_mod.exp_entropy, shared)),
+    ]
+    return ["curve", "lambda_w", "lambda_x", "entropy_nats"], columns
 
 
-def _fig2_rows(grid_points: int):
-    """Rows (lambda, lambda_x, lambda_w, entropy_nats, reference lines).
+def _fig2_columns(grid_points: int):
+    """Columns (lambda, lambda_x, lambda_w, entropy_nats, reference lines).
 
     lambda runs log-spaced over [1.01, 100]; 2.0, the equal-rate point
-    where the curve touches the Erlang-2 line, is appended so the contact
+    where the curve touches the Erlang-2 line, is added so the contact
     appears exactly in the data.
     """
     import numpy as np
 
-    grid = {float(g) for g in np.geomspace(1.01, 100.0, grid_points)}
-    grid.add(2.0)
-    ref_exp = entropy_mod.exp_entropy(1.0)
-    ref_erlang2 = entropy_mod.erlang2_entropy(2.0)
-    rows = []
-    for lam in sorted(grid):
-        pair = entropy_mod.mean_constrained_rates(lam)
-        h = entropy_mod.hypoexp_entropy(pair)
-        rows.append((lam, pair.lambda_lo, pair.lambda_hi, h, ref_exp, ref_erlang2))
+    lam = np.array(sorted({*np.geomspace(1.01, 100.0, grid_points).tolist(), 2.0}))
+    hi, lo = entropy_mod.mean_constrained_rates_array(lam)
+    h = entropy_mod.hypoexp_entropy_array(hi, lo)
+    n = lam.size
     header = [
         "lambda",
         "lambda_x",
@@ -202,37 +199,67 @@ def _fig2_rows(grid_points: int):
         "reference_exp",
         "reference_erlang2",
     ]
-    return header, rows
+    columns = [
+        lam.tolist(),
+        lo.tolist(),
+        hi.tolist(),
+        h.tolist(),
+        [entropy_mod.exp_entropy(1.0)] * n,
+        [entropy_mod.erlang2_entropy(2.0)] * n,
+    ]
+    return header, columns
 
 
-def _render_csv(header, rows) -> str:
-    fmt = _fmt17  # a local name: one global lookup fewer per cell
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for value in row:
-            if value is None:
-                cells.append("")
-            elif isinstance(value, str):
-                cells.append(value)
-            else:
-                cells.append(fmt(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return _fmt17(value)
 
 
-def _render_json(header, rows) -> str:
+def _render_csv(header, columns) -> str:
+    """CSV text of equal-length columns, one line per row.
+
+    Each distinct value is formatted once, through a memo shared by all
+    columns. A dict key cannot tell 0.0 from -0.0, so a column holding a
+    zero is formatted value by value.
+    """
+    memo = {}
+    cells = []
+    for column in columns:
+        distinct = set(column)
+        if 0.0 in distinct:
+            cells.append(list(map(_csv_cell, column)))
+        else:
+            memo.update({v: _csv_cell(v) for v in distinct - memo.keys()})
+            cells.append(list(map(memo.__getitem__, column)))
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _render_json(header, columns) -> str:
+    """The bytes of ``json.dumps(records, indent=2) + "\n"`` for the records
+    ``dict(zip(header, row))`` of equal-length columns of scalars.
+
+    json's own encoder writes each column in one call, with a newline
+    between items; json escapes newlines inside strings, so splitting
+    there gives each value's text. One template per record lays them out.
+    """
     import json
 
-    records = [dict(zip(header, row)) for row in rows]
-    return json.dumps(records, indent=2) + "\n"
+    if not columns or not columns[0]:
+        return "[]\n"
+    cells = [json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") for column in columns]
+    keys = [json.dumps(key).replace("%", "%%") for key in header]
+    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n]\n"
 
 
 def cmd_figure(args) -> int:
-    rows_of = _fig1_rows if args.figure_id == "fig1" else _fig2_rows
-    header, rows = rows_of(args.grid_points)
+    columns_of = _fig1_columns if args.figure_id == "fig1" else _fig2_columns
+    header, columns = columns_of(args.grid_points)
     render = _render_csv if args.format == "csv" else _render_json
-    content = render(header, rows)
+    content = render(header, columns)
     if args.out is None:
         sys.stdout.write(content)
     else:

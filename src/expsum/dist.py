@@ -36,6 +36,17 @@ def _require_rate(value: float, name: str) -> float:
     return value
 
 
+def _require_rates(values, name: str):
+    """``values`` as a float array, each element checked by ``_require_rate``."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        _require_rate(values[bad][0], name)
+    return values
+
+
 def _ret(out, arr):
     """``out``, as a float when the input array ``arr`` is 0-d."""
     return float(out) if arr.ndim == 0 else out

@@ -17,6 +17,9 @@ up and the first form subtracts two diverging terms, while the second
 isolates the vanishing difference psi(r) - ln(r), which ``specfun``
 computes without cancellation. In the limit of equal rates the value
 degrades continuously to the Erlang-2 entropy 1 + gamma - ln(lambda).
+
+The ``_array`` forms evaluate their scalar namesakes over numpy arrays,
+element by element and bit for bit; numpy is imported inside them only.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import RatePair, _require_rate
-from .specfun import EULER_GAMMA, digamma_minus_log
+from .dist import DEGENERACY_RTOL, RatePair, _require_rate, _require_rates
+from .specfun import EULER_GAMMA, digamma_minus_log, digamma_minus_log_array, log_each
 
 #: Differential entropies are plain floats measured in nats (natural log
 #: base); they may be negative.
@@ -96,6 +99,27 @@ def hypoexp_entropy(rates: RatePair) -> EntropyNats:
     return 1.0 + EULER_GAMMA - math.log(lo) + digamma_minus_log(r)
 
 
+def hypoexp_entropy_array(rate_a, rate_b):
+    """``hypoexp_entropy(RatePair(a, b))`` for each pair of elements.
+
+    The rates are checked, ordered and switched to the Erlang-2 value
+    exactly as ``RatePair`` and ``hypoexp_entropy`` do, so every element
+    equals the scalar value bit for bit.
+    """
+    import numpy as np
+
+    a = _require_rates(rate_a, "lambda_hi")
+    b = _require_rates(rate_b, "lambda_lo")
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    nearly = hi - lo <= DEGENERACY_RTOL * hi
+    apart = ~nearly
+    log_arg = lo.copy()
+    log_arg[nearly] = _require_rates(0.5 * (hi[nearly] + lo[nearly]), "lam")
+    h = 1.0 + EULER_GAMMA - log_each(log_arg)
+    h[apart] += digamma_minus_log_array(hi[apart] / (hi[apart] - lo[apart]))
+    return h
+
+
 def mutual_info_aen(signal_rate: float, noise_rate: float) -> EntropyNats:
     """Mutual information of the additive exponential noise timing channel.
 
@@ -140,3 +164,16 @@ def mean_constrained_rates(lam: float) -> RatePair:
     if not math.isfinite(lam) or lam <= 1.0:
         raise ValueError(f"lam must be finite and greater than 1, got {lam!r}")
     return RatePair(lam, lam / (lam - 1.0))
+
+
+def mean_constrained_rates_array(lam):
+    """``mean_constrained_rates`` of each element: (lambda_hi, lambda_lo)
+    arrays, checked and ordered as the scalar form does."""
+    import numpy as np
+
+    lam = np.asarray(lam, dtype=float)
+    bad = ~(np.isfinite(lam) & (lam > 1.0))
+    if bad.any():
+        mean_constrained_rates(lam[bad][0])  # raises the scalar form's error
+    other = lam / (lam - 1.0)
+    return np.maximum(lam, other), np.minimum(lam, other)

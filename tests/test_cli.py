@@ -367,6 +367,54 @@ class TestFormat17:
         assert [(v, a, b) for v, a, b in zip(values, ours, theirs) if a != b] == []
 
 
+def csv_reference(header, columns):
+    """The row-by-row CSV writer: one _fmt17 call per numeric cell."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        cells = ("" if v is None else v if isinstance(v, str) else _fmt17(v) for v in row)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def json_reference(header, columns):
+    return json.dumps([dict(zip(header, row)) for row in zip(*columns)], indent=2) + "\n"
+
+
+def render_corpus():
+    """(header, columns) cases over every kind of value a cell can hold."""
+    rng = np.random.default_rng(1121)
+    pool = [
+        None, "hypoexp", 'quote " and \\ backslash', "line\nbreak", "caf\u00e9 \u2028", "%s %%",
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e16, 1e-5, 1e-4,
+        0.1, 0.5, 1.0 / 3.0, 123456.789, 1.7976931348623157e308, -2.5,
+        math.nan, math.inf, -math.inf, 1, True, False,
+    ]
+    floats = (10.0 ** rng.uniform(-8, 20, 300) * rng.choice([-1.0, 1.0], 300)).tolist()
+    picks = rng.integers(0, len(pool), (3, 300)).tolist()
+    mixed = [[pool[i] for i in row] for row in picks]
+    repeated = [floats[i] for i in rng.integers(0, 7, 300).tolist()]
+    header = ["a", "b c", 'q"k', "%d", "caf\u00e9", "f"]
+    return [
+        (header, [*mixed, floats, repeated, floats[::-1]]),
+        (["x", "y"], [[1.5, None, "s", math.nan, math.inf], [1.5, 1.5, 1.5, math.nan, -math.inf]]),
+        (["only"], [[-0.0, 0.0, math.nan, math.nan]]),
+        (["x", "y"], [[], []]),
+        ([], []),
+    ]
+
+
+class TestRenderers:
+    @pytest.mark.parametrize("case", range(5))
+    def test_csv_matches_per_cell_reference(self, case):
+        header, columns = render_corpus()[case]
+        assert cli._render_csv(header, columns) == csv_reference(header, columns)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_json_matches_json_dumps(self, case):
+        header, columns = render_corpus()[case]
+        assert cli._render_json(header, columns) == json_reference(header, columns)
+
+
 class TestImports:
     def test_point_commands_do_not_load_numpy(self):
         script = """

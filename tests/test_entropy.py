@@ -12,7 +12,9 @@ from expsum.entropy import (
     erlang2_entropy,
     exp_entropy,
     hypoexp_entropy,
+    hypoexp_entropy_array,
     mean_constrained_rates,
+    mean_constrained_rates_array,
     mutual_info_aen,
 )
 from expsum.specfun import EULER_GAMMA, digamma
@@ -207,3 +209,78 @@ class TestMeanConstrainedRates:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             mean_constrained_rates(bad)
+
+
+def array_sweep():
+    """Seeded rate pairs over every branch of the closed form."""
+    rng = np.random.default_rng(20161121)
+    below_six = np.nextafter(5.0, 0.0)  # hi = 6: r = 6 / (1 + ulp) < 6
+    scales = 2.0 ** rng.uniform(-20, 20, 40)
+    gaps = np.geomspace(1e-13, 1e-11, 201)  # straddles DEGENERACY_RTOL
+    hi = 10.0 ** rng.uniform(-6, 6, 201)
+    pairs = [
+        (6.0, 5.0), (12.0, 10.0), (6.0, below_six), (6.0, np.nextafter(5.0, 6.0)),
+        (6.0, 6.0), (1.0, 1.0), (2.0, 2.0), (1e6, 1e-6), (1e300, 1e-300),
+        (1.0, 1.0 - 1e-6), (1.0, 1.0 - 1e-9), (5e-324, 5e-324), (1.0, 5e-324),
+    ]
+    pairs += [(6.0 * s, 5.0 * s) for s in scales]
+    pairs += [(6.0 * s, below_six * s) for s in scales]
+    pairs += zip(hi, hi * (1.0 - gaps))
+    pairs += zip(hi, hi * (1.0 + gaps))
+    pairs += zip(10.0 ** rng.uniform(-6, 6, 2000), 10.0 ** rng.uniform(-6, 6, 2000))
+    pairs += [(rate, rate) for rate in 10.0 ** rng.uniform(-6, 6, 50)]
+    lam = np.append(np.geomspace(1.01, 100.0, 200), [2.0, np.nextafter(2.0, 3.0)])
+    pairs += zip(lam, lam / (lam - 1.0))
+    a, b = np.array(pairs, dtype=float).T
+    return a, b
+
+
+class TestHypoexpEntropyArray:
+    def test_bit_equal_to_scalar(self):
+        a, b = array_sweep()
+        scalar = [hypoexp_entropy(RatePair(x, y)) for x, y in zip(a.tolist(), b.tolist())]
+        assert hypoexp_entropy_array(a, b).tolist() == scalar
+        assert hypoexp_entropy_array(b, a).tolist() == scalar
+
+    def test_sweep_covers_both_regimes(self):
+        a, b = array_sweep()
+        pairs = [RatePair(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        ratios = [p.lambda_hi / (p.lambda_hi - p.lambda_lo) for p in pairs if not p.nearly_equal]
+        assert sum(p.nearly_equal for p in pairs) > 100
+        assert 6.0 in ratios and math.nextafter(6.0, 0.0) in ratios and max(ratios) > 1e11
+
+    def test_contact_point_is_erlang2(self):
+        hi, lo = mean_constrained_rates_array(np.array([2.0]))
+        assert hypoexp_entropy_array(hi, lo).tolist() == [erlang2_entropy(2.0)]
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
+    def test_rejects_what_rate_pair_rejects(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            RatePair(bad, 1.0)
+        with pytest.raises(ValueError) as array:
+            hypoexp_entropy_array(np.array([1.0, bad, 3.0]), np.ones(3))
+        assert str(array.value) == str(scalar.value)
+
+    def test_erlang2_overflow_rejected_like_scalar(self):
+        with pytest.raises(ValueError) as scalar:
+            hypoexp_entropy(RatePair(1.7e308, 1.7e308))
+        with pytest.raises(ValueError) as array:
+            hypoexp_entropy_array(np.array([1.7e308]), np.array([1.7e308]))
+        assert str(array.value) == str(scalar.value)
+
+
+class TestMeanConstrainedRatesArray:
+    def test_equal_to_scalar(self):
+        lam = np.append(np.geomspace(1.0 + 2.0**-52, 1e6, 500), 2.0)
+        pairs = [mean_constrained_rates(x) for x in lam.tolist()]
+        hi, lo = mean_constrained_rates_array(lam)
+        assert hi.tolist() == [p.lambda_hi for p in pairs]
+        assert lo.tolist() == [p.lambda_lo for p in pairs]
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, -3.0, math.nan, math.inf])
+    def test_domain(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            mean_constrained_rates(bad)
+        with pytest.raises(ValueError) as array:
+            mean_constrained_rates_array(np.array([3.0, bad]))
+        assert str(array.value) == str(scalar.value)

@@ -5,8 +5,10 @@ of every subcommand over a fixed argument corpus.
 called ``numpy.format_float_positional``. The corpus covers equal rates,
 widely separated rates (1e-6 with 1e6), values that print below 1 with
 and without dropped trailing zeros, seeded Monte-Carlo runs and the
-argument and convergence errors. Any change to a value here is a
-behaviour change and must be called out in CHANGES.md.
+argument and convergence errors. The figure hashes at 2 and 7 grid
+points were added later, recorded from the release that still built the
+figures row by row. Any change to a value here is a behaviour change and
+must be called out in CHANGES.md.
 """
 
 import hashlib

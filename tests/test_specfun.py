@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from expsum.specfun import EULER_GAMMA, digamma, digamma_minus_log, euler_gamma
+from expsum.specfun import (
+    EULER_GAMMA,
+    digamma,
+    digamma_minus_log,
+    digamma_minus_log_array,
+    log_each,
+)
 
 
 def psi_integer_oracle(n: int) -> float:
@@ -20,11 +26,11 @@ def test_euler_gamma_rederived_from_harmonic_limit():
     n = 10**4
     est = math.fsum(1.0 / k for k in range(1, n + 1)) - math.log(n)
     est += -1.0 / (2 * n) + 1.0 / (12 * n * n)
-    assert abs(est - euler_gamma()) < 1e-13
+    assert abs(est - EULER_GAMMA) < 1e-13
 
 
 def test_euler_gamma_coarse_bracket():
-    assert 0.5 < euler_gamma() < 0.6
+    assert 0.5 < EULER_GAMMA < 0.6
 
 
 def test_digamma_at_one_is_minus_gamma():
@@ -109,3 +115,21 @@ class TestDigammaMinusLog:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             digamma_minus_log(bad)
+
+
+class TestArrayForms:
+    def test_digamma_minus_log_array_bit_equal(self):
+        rng = np.random.default_rng(7)
+        edges = [6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0), 1.0,
+                 np.nextafter(1.0, 2.0), 5.0, 2.5, 1e-3, 1e-300, 1e12, 1e150]
+        x = np.concatenate((edges, 10.0 ** rng.uniform(-3, 15, 5000), rng.uniform(1, 7, 5000)))
+        assert digamma_minus_log_array(x).tolist() == list(map(digamma_minus_log, x.tolist()))
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
+    def test_digamma_minus_log_array_domain(self, bad):
+        with pytest.raises(ValueError):
+            digamma_minus_log_array(np.array([2.0, bad]))
+
+    def test_log_each_is_math_log(self):
+        x = np.geomspace(0.01, 2.0, 2000)
+        assert log_each(x).tolist() == list(map(math.log, x.tolist()))
