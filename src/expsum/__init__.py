@@ -8,8 +8,6 @@ and Monte-Carlo oracles and a CLI that reproduces the figure data sets.
 
 from .dist import (
     DEGENERACY_RTOL,
-    Erlang2,
-    Exponential,
     HypoexpTwo,
     RatePair,
     hypoexp_cdf,
@@ -31,7 +29,6 @@ from .entropy import (
 from .oracle import (
     ConvergenceError,
     EstimateWithError,
-    QuadratureConfig,
     entropy_monte_carlo,
     entropy_quadrature,
     gr_log_integral,
@@ -46,12 +43,9 @@ __all__ = [
     "EULER_GAMMA",
     "ConvergenceError",
     "EntropyNats",
-    "Erlang2",
     "EstimateWithError",
-    "Exponential",
     "HypoexpTwo",
     "LightGatedModel",
-    "QuadratureConfig",
     "RatePair",
     "cond_entropy_light",
     "digamma",

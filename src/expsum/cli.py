@@ -58,54 +58,28 @@ def _fmt17(x: float) -> str:
     return s
 
 
-def _rate_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive finite rate, got {text!r}")
-    return value
+def _checked(parse, ok, requirement: str):
+    """An argparse type: ``parse`` (float or int) reads the text, and a value
+    that fails ``ok`` is rejected with "must <requirement>"."""
+    noun = "a number" if parse is float else "an integer"
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _probability_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
-    return value
-
-
-def _tol_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive tolerance, got {text!r}")
-    return value
-
-
-def _count_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
-    return value
-
-
-def _seed_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
+_rate_arg = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "be a positive finite rate")
+_probability_arg = _checked(float, lambda p: 0.0 <= p <= 1.0, "lie in [0, 1]")
+_tol_arg = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "be a positive tolerance")
+_count_arg = _checked(int, lambda n: n >= 2, "be at least 2")
+_seed_arg = _checked(int, lambda n: n >= 0, "be nonnegative")
 
 
 def cmd_entropy(args) -> int:
@@ -121,8 +95,7 @@ def cmd_entropy(args) -> int:
         print(f"n_samples {est.n_samples}")
         return EXIT_OK
     if args.method == "quad":
-        cfg = oracle.QuadratureConfig(abs_tol=args.tol)
-        value = oracle.entropy_quadrature(HypoexpTwo(rates), cfg)
+        value = oracle.entropy_quadrature(HypoexpTwo(rates), abs_tol=args.tol)
     else:
         value = entropy_mod.hypoexp_entropy(rates)
     print(f"entropy_nats {_fmt17(value)}")
@@ -272,7 +245,6 @@ def _verify_checks(seed: int, samples: int, abs_tol: float):
     """Run the oracle agreement suite; yields (name, measured, limit) rows."""
     import numpy as np
 
-    cfg = oracle.QuadratureConfig(abs_tol=abs_tol)
     grid = [float(g) for g in np.geomspace(0.1, 10.0, 7)]
 
     closed_dev = 0.0
@@ -281,18 +253,19 @@ def _verify_checks(seed: int, samples: int, abs_tol: float):
         for j, b in enumerate(grid):
             d = HypoexpTwo(RatePair(a, b))
             if i != j:
-                quad = oracle.entropy_quadrature(d, cfg)
+                quad = oracle.entropy_quadrature(d, abs_tol=abs_tol)
                 closed = entropy_mod.hypoexp_entropy(d.rates)
                 closed_dev = max(closed_dev, abs(quad - closed))
             if i <= j:
-                norm_dev = max(norm_dev, abs(oracle.normalization_quadrature(d, cfg) - 1.0))
+                norm = oracle.normalization_quadrature(d, abs_tol=abs_tol)
+                norm_dev = max(norm_dev, abs(norm - 1.0))
     yield "closed form vs quadrature (42 pairs)", closed_dev, 1e-8
     yield "density normalization (28 pairs)", norm_dev, 1e-10
 
     ident_dev = 0.0
     for u in (0.5, 1.0, 2.0, 5.0):
         for v in (0.5, 1.0, 2.0, 5.0):
-            numeric = oracle.gr_log_integral(u, v, cfg)
+            numeric = oracle.gr_log_integral(u, v, abs_tol=abs_tol)
             closed = -(EULER_GAMMA + digamma(u / v + 1.0)) / u
             ident_dev = max(ident_dev, abs(numeric - closed))
     yield "log-integral identity (16 pairs)", ident_dev, 1e-8

@@ -1,4 +1,4 @@
-"""Exponential, Erlang-2, and two-phase hypoexponential distributions.
+"""The two-phase hypoexponential distribution of a sum of two exponentials.
 
 The central object is ``HypoexpTwo``, the distribution of Y = W + X for
 independent exponentials W and X with distinct rates. Its density is
@@ -7,7 +7,7 @@ independent exponentials W and X with distinct rates. Its density is
 
 with normalization c = lambda_hi * lambda_lo / (lambda_hi - lambda_lo).
 When the two rates coincide this expression is 0/0; the sum is then
-Erlang-2 distributed, and the objects here switch to the exact Erlang-2
+Erlang-2 distributed, and the functions here switch to the exact Erlang-2
 forms once the relative rate gap drops below ``DEGENERACY_RTOL``.
 
 numpy is imported inside the array functions, not at module level, so
@@ -47,6 +47,16 @@ def _require_rates(values, name: str):
     return values
 
 
+def erlang2_rate(hi: float, lo: float) -> float:
+    """The common rate 0.5 * (hi + lo) of two rates treated as equal.
+
+    Where hi + lo overflows (both rates above about 9e307) the halves are
+    added instead, so the rate is finite for every pair of valid rates.
+    """
+    rate = 0.5 * (hi + lo)
+    return rate if rate != math.inf else 0.5 * hi + 0.5 * lo
+
+
 def _ret(out, arr):
     """``out``, as a float when the input array ``arr`` is 0-d."""
     return float(out) if arr.ndim == 0 else out
@@ -79,52 +89,6 @@ class RatePair:
 
 
 @dataclass(frozen=True)
-class Exponential:
-    """Exponential distribution with density rate * exp(-rate * y), y >= 0."""
-
-    rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _require_rate(self.rate, "rate"))
-
-    def pdf(self, y):
-        import numpy as np
-
-        arr = np.asarray(y, dtype=float)
-        yc = np.maximum(arr, 0.0)
-        val = self.rate * np.exp(-self.rate * yc)
-        return _ret(np.where(arr < 0.0, 0.0, val), arr)
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-
-@dataclass(frozen=True)
-class Erlang2:
-    """Erlang-2 distribution: sum of two IID exponentials with the given rate.
-
-    Density rate^2 * y * exp(-rate * y) on y >= 0; the equal-rate limit of
-    the two-phase hypoexponential.
-    """
-
-    rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _require_rate(self.rate, "rate"))
-
-    def pdf(self, y):
-        import numpy as np
-
-        arr = np.asarray(y, dtype=float)
-        yc = np.maximum(arr, 0.0)
-        val = self.rate * self.rate * yc * np.exp(-self.rate * yc)
-        return _ret(np.where(arr < 0.0, 0.0, val), arr)
-
-    def mean(self) -> float:
-        return 2.0 / self.rate
-
-
-@dataclass(frozen=True)
 class HypoexpTwo:
     """Two-phase hypoexponential: the law of W + X for independent
     exponentials at the two rates in ``rates``.
@@ -153,16 +117,7 @@ class HypoexpTwo:
 
     @property
     def erlang_rate(self) -> float:
-        return 0.5 * (self.rates.lambda_hi + self.rates.lambda_lo)
-
-    def pdf(self, y):
-        return hypoexp_pdf(self, y)
-
-    def cdf(self, y):
-        return hypoexp_cdf(self, y)
-
-    def mean(self) -> float:
-        return hypoexp_mean(self)
+        return erlang2_rate(self.rates.lambda_hi, self.rates.lambda_lo)
 
 
 def hypoexp_pdf(d: HypoexpTwo, y):
@@ -195,7 +150,7 @@ def hypoexp_log_pdf(d: HypoexpTwo, y):
     import numpy as np
 
     arr = np.asarray(y, dtype=float)
-    yc = np.maximum(arr, 1e-300)
+    yc = np.maximum(arr, 5e-324)  # moves only y <= 0, which is -inf below
     with np.errstate(divide="ignore"):
         if d.is_degenerate:
             lam = d.erlang_rate

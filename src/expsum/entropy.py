@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import DEGENERACY_RTOL, RatePair, _require_rate, _require_rates
+from .dist import DEGENERACY_RTOL, RatePair, _require_rate, _require_rates, erlang2_rate
 from .specfun import EULER_GAMMA, digamma_minus_log, digamma_minus_log_array, log_each
 
 #: Differential entropies are plain floats measured in nats (natural log
@@ -94,7 +94,7 @@ def hypoexp_entropy(rates: RatePair) -> EntropyNats:
     """
     hi, lo = rates.lambda_hi, rates.lambda_lo
     if rates.nearly_equal:
-        return erlang2_entropy(0.5 * (hi + lo))
+        return erlang2_entropy(erlang2_rate(hi, lo))
     r = hi / (hi - lo)
     return 1.0 + EULER_GAMMA - math.log(lo) + digamma_minus_log(r)
 
@@ -114,7 +114,7 @@ def hypoexp_entropy_array(rate_a, rate_b):
     nearly = hi - lo <= DEGENERACY_RTOL * hi
     apart = ~nearly
     log_arg = lo.copy()
-    log_arg[nearly] = _require_rates(0.5 * (hi[nearly] + lo[nearly]), "lam")
+    log_arg[nearly] = list(map(erlang2_rate, hi[nearly].tolist(), lo[nearly].tolist()))
     h = 1.0 + EULER_GAMMA - log_each(log_arg)
     h[apart] += digamma_minus_log_array(hi[apart] / (hi[apart] - lo[apart]))
     return h

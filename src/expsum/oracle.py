@@ -26,29 +26,13 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .dist import Erlang2, Exponential, HypoexpTwo, exponential_draws, hypoexp_log_pdf
+from . import dist
+from .dist import HypoexpTwo, exponential_draws, hypoexp_log_pdf
+from .specfun import _require_positive
 
 
 class ConvergenceError(RuntimeError):
     """Raised when the subdivision budget runs out before reaching tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance and budget for the adaptive integrator."""
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
-        if int(self.max_subdivisions) < 1:
-            raise ValueError(
-                f"max_subdivisions must be at least 1, got {self.max_subdivisions!r}"
-            )
-        object.__setattr__(self, "abs_tol", float(self.abs_tol))
-        object.__setattr__(self, "max_subdivisions", int(self.max_subdivisions))
 
 
 @dataclass(frozen=True)
@@ -60,7 +44,8 @@ class EstimateWithError:
     n_samples: int
 
 
-_DEFAULT_CFG = QuadratureConfig()
+#: Panel splits the adaptive integrator may make before it gives up.
+MAX_SUBDIVISIONS = 2000
 
 #: Samples drawn and evaluated per chunk by ``entropy_monte_carlo``. Peak
 #: memory grows with it; at 10^7 samples no size from 2^14 to 2^20 ran faster.
@@ -124,7 +109,7 @@ def _gk15():
     return panel
 
 
-def _adaptive(f, a: float, b: float, abs_tol: float, max_subdivisions: int) -> float:
+def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
     """Globally adaptive bisection, always splitting the worst panel."""
     import numpy as np
 
@@ -142,7 +127,7 @@ def _adaptive(f, a: float, b: float, abs_tol: float, max_subdivisions: int) -> f
     heapq.heapify(heap)
     splits = 0
     while total_err > abs_tol:
-        if splits >= max_subdivisions:
+        if splits >= MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
                 f"after {splits} subdivisions"
@@ -160,11 +145,10 @@ def _adaptive(f, a: float, b: float, abs_tol: float, max_subdivisions: int) -> f
     return math.fsum(panel[4] for panel in heap)
 
 
-def _tail_bound(d, u: float) -> float:
-    """Analytic upper bound on the mass of |f ln f| (and of f) beyond u.
+def _truncation_point(d: HypoexpTwo, abs_tol: float) -> float:
+    """Smallest doubling of 20/lambda_slow whose tail bound is < abs_tol/10.
 
-    Exponential(lam): the tail integral of -f ln f is bounded by
-        exp(-lam u) (|ln lam| + lam u + 1).
+    The bound is on the mass of |f ln f| (and of f) beyond u.
     Erlang-2(lam), valid for u >= 1 so that ln y <= y on the tail:
         exp(-lam u) (2|ln lam|(1 + lam u)
                      + (1 + lam)(lam^2 u^2 + 2 lam u + 2)/lam).
@@ -174,52 +158,34 @@ def _tail_bound(d, u: float) -> float:
     Each bound also dominates the plain density tail, so the same
     truncation point serves the normalization integral.
     """
-    if isinstance(d, Exponential):
-        lam = d.rate
-        return math.exp(-lam * u) * (abs(math.log(lam)) + lam * u + 1.0)
-    if isinstance(d, Erlang2) or (isinstance(d, HypoexpTwo) and d.is_degenerate):
-        lam = d.rate if isinstance(d, Erlang2) else d.erlang_rate
-        e = math.exp(-lam * u)
-        poly = (1.0 + lam) * (lam * lam * u * u + 2.0 * lam * u + 2.0) / lam
-        return e * (2.0 * abs(math.log(lam)) * (1.0 + lam * u) + poly)
-    if isinstance(d, HypoexpTwo):
-        c = d.norm_const
-        lo = d.rates.lambda_lo
-        hi = d.rates.lambda_hi
-        return (
-            c
-            * math.exp(-lo * u)
-            * (abs(math.log(c)) + hi * u + 1.0)
-            * (u + 2.0 / lo)
-        )
-    raise TypeError(f"unsupported distribution type {type(d).__name__}")
+    if d.is_degenerate:
+        lam = d.erlang_rate
 
+        def tail_bound(u):
+            e = math.exp(-lam * u)
+            poly = (1.0 + lam) * (lam * lam * u * u + 2.0 * lam * u + 2.0) / lam
+            return e * (2.0 * abs(math.log(lam)) * (1.0 + lam * u) + poly)
 
-def _slowest_rate(d) -> float:
-    if isinstance(d, (Exponential, Erlang2)):
-        return d.rate
-    if isinstance(d, HypoexpTwo):
-        return d.erlang_rate if d.is_degenerate else d.rates.lambda_lo
-    raise TypeError(f"unsupported distribution type {type(d).__name__}")
+        u = max(20.0 / lam, 1.0)  # the Erlang-2 bound needs u >= 1
+    else:
+        c, hi, lo = d.norm_const, d.rates.lambda_hi, d.rates.lambda_lo
 
+        def tail_bound(u):
+            return c * math.exp(-lo * u) * (abs(math.log(c)) + hi * u + 1.0) * (u + 2.0 / lo)
 
-def _truncation_point(d, abs_tol: float) -> float:
-    """Smallest doubling of the starting point whose tail bound is < abs_tol/10."""
-    u = 20.0 / _slowest_rate(d)
-    if isinstance(d, Erlang2) or (isinstance(d, HypoexpTwo) and d.is_degenerate):
-        u = max(u, 1.0)  # the Erlang-2 bound needs u >= 1
+        u = 20.0 / lo
     for _ in range(200):
-        if _tail_bound(d, u) < abs_tol / 10.0:
+        if tail_bound(u) < abs_tol / 10.0:
             return u
         u *= 2.0
     raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
 
 
-def _neg_f_log_f(d):
+def _neg_f_log_f(d: HypoexpTwo):
     import numpy as np
 
     def integrand(y):
-        f = np.asarray(d.pdf(y), dtype=float)
+        f = np.asarray(dist.hypoexp_pdf(d, y), dtype=float)
         out = np.zeros_like(f)
         mask = f > 0.0
         out[mask] = -f[mask] * np.log(f[mask])
@@ -228,23 +194,24 @@ def _neg_f_log_f(d):
     return integrand
 
 
-def entropy_quadrature(d, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
+def entropy_quadrature(d: HypoexpTwo, *, abs_tol: float = 1e-10) -> float:
     """Differential entropy -int f ln f by adaptive quadrature.
 
-    ``d`` may be Exponential, Erlang2, or HypoexpTwo. The integration
-    domain is [0, U] with U from the analytic tail bound, so truncation
-    error stays below a tenth of ``cfg.abs_tol``; the 0 ln 0 convention
-    at points of vanishing density is applied explicitly. Raises
-    ConvergenceError if the subdivision budget is exhausted.
+    The integration domain is [0, U] with U from the analytic tail bound,
+    so truncation error stays below a tenth of ``abs_tol``; the 0 ln 0
+    convention at points of vanishing density is applied explicitly.
+    Raises ConvergenceError if the subdivision budget is exhausted.
     """
-    u = _truncation_point(d, cfg.abs_tol)
-    return _adaptive(_neg_f_log_f(d), 0.0, u, cfg.abs_tol, cfg.max_subdivisions)
+    abs_tol = _require_positive(abs_tol, "abs_tol")
+    u = _truncation_point(d, abs_tol)
+    return _adaptive(_neg_f_log_f(d), 0.0, u, abs_tol)
 
 
-def normalization_quadrature(d, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
+def normalization_quadrature(d: HypoexpTwo, *, abs_tol: float = 1e-10) -> float:
     """int f over the same truncated domain; should be 1 for any density."""
-    u = _truncation_point(d, cfg.abs_tol)
-    return _adaptive(lambda y: d.pdf(y), 0.0, u, cfg.abs_tol, cfg.max_subdivisions)
+    abs_tol = _require_positive(abs_tol, "abs_tol")
+    u = _truncation_point(d, abs_tol)
+    return _adaptive(lambda y: dist.hypoexp_pdf(d, y), 0.0, u, abs_tol)
 
 
 def entropy_monte_carlo(d: HypoexpTwo, n: int, seed: int) -> EstimateWithError:
@@ -294,7 +261,7 @@ def entropy_monte_carlo(d: HypoexpTwo, n: int, seed: int) -> EstimateWithError:
     return EstimateWithError(estimate=mean, std_error=std / math.sqrt(n), n_samples=n)
 
 
-def gr_log_integral(u: float, v: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
+def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     """Numerically evaluate int_0^inf exp(-u x) ln(1 - exp(-v x)) dx.
 
     The substitution xi = exp(-v x) turns this into
@@ -308,14 +275,10 @@ def gr_log_integral(u: float, v: float, cfg: QuadratureConfig = _DEFAULT_CFG) ->
     """
     import numpy as np
 
-    u = float(u)
-    v = float(v)
-    if not (math.isfinite(u) and u > 0.0):
-        raise ValueError(f"u must be positive and finite, got {u!r}")
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"v must be positive and finite, got {v!r}")
+    u = _require_positive(u, "u")
+    v = _require_positive(v, "v")
+    tol = _require_positive(abs_tol, "abs_tol")
     p = u / v
-    tol = cfg.abs_tol
     lower = min(((p + 1.0) * tol / 20.0) ** (1.0 / (p + 1.0)), 0.25)
     upper = tol / 20.0
     for _ in range(30):  # fixed point of d = tol / (20 (1 - ln d))
@@ -326,5 +289,5 @@ def gr_log_integral(u: float, v: float, cfg: QuadratureConfig = _DEFAULT_CFG) ->
         xi = np.asarray(xi, dtype=float)
         return xi ** (p - 1.0) * np.log1p(-xi)
 
-    value = _adaptive(integrand, lower, 1.0 - upper, tol, cfg.max_subdivisions)
+    value = _adaptive(integrand, lower, 1.0 - upper, tol)
     return value / v

@@ -96,7 +96,17 @@ def digamma_minus_log(x: float) -> float:
         acc -= 1.0 / y
         y += 1.0
     # psi(x) - ln x = psi(y) - sum 1/(x+k) - ln x, and psi(y) = ln y + tail(y)
-    return acc + math.log(y / x) + _series_tail(y)
+    return acc + _log_ratio(y, x) + _series_tail(y)
+
+
+def _log_ratio(y: float, x: float) -> float:
+    """ln(y/x), as ln y - ln x where y/x overflows (x below about 6/DBL_MAX).
+
+    For x below 1/DBL_MAX the recurrence's first step is already -inf,
+    which is then the value returned: psi(x) - ln x is below -DBL_MAX.
+    """
+    ratio = y / x
+    return math.log(ratio) if ratio != math.inf else math.log(y) - math.log(x)
 
 
 def log_each(x):
@@ -135,9 +145,14 @@ def digamma_minus_log_array(x):
     y = x[low]
     acc = np.zeros_like(y)
     step = y < _SHIFT_THRESHOLD
-    while step.any():
-        acc[step] -= 1.0 / y[step]
-        y[step] += 1.0
-        step = y < _SHIFT_THRESHOLD
-    out[low] = acc + log_each(y / x[low]) + _series_tail(y)
+    with np.errstate(over="ignore"):  # 1/y and y/x overflow as in the scalar form
+        while step.any():
+            acc[step] -= 1.0 / y[step]
+            y[step] += 1.0
+            step = y < _SHIFT_THRESHOLD
+        ratio = y / x[low]
+    log_ratio = log_each(ratio)
+    over = ratio == np.inf
+    log_ratio[over] = list(map(_log_ratio, y[over].tolist(), x[low][over].tolist()))
+    out[low] = acc + log_ratio + _series_tail(y)
     return out

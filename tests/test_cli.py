@@ -81,6 +81,16 @@ class TestEntropyCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("rate", ["1.7e308", "1.7976931348623157e308"])
+    def test_equal_rates_whose_sum_overflows(self, capsys, rate):
+        code, out, err = run(capsys, ["entropy", "--lambda-w", rate, "--lambda-x", rate])
+        assert (code, err) == (0, "")
+        h = 1.0 + EULER_GAMMA - math.log(float(rate))
+        assert first_value(out, "entropy_nats") == h
+        code, out, err = run(capsys, ["mi", "--signal-rate", rate, "--noise-rate", rate])
+        assert (code, err) == (0, "")
+        assert first_value(out, "mutual_information") == h - (1.0 - math.log(float(rate)))
+
     def test_unattainable_tolerance_exits_three(self, capsys):
         code, _, err = run(
             capsys,
@@ -153,6 +163,67 @@ class TestCondEntropyCommand:
         )
         assert code == 2
         assert "--p-on" in err
+
+
+# (argv before the flag, flag, text, error message or None when accepted):
+# one valid edge value and each rejection branch of every argument type
+ARGUMENT_CASES = [
+    *[(["entropy", "--lambda-x", "1"], "--lambda-w", text, message) for text, message in (
+        ("5e-324", None),
+        ("1.7976931348623157e308", None),
+        ("abc", "expected a number, got 'abc'"),
+        ("inf", "must be a positive finite rate, got 'inf'"),
+        ("nan", "must be a positive finite rate, got 'nan'"),
+        ("0", "must be a positive finite rate, got '0'"),
+        ("-1e-300", "must be a positive finite rate, got '-1e-300'"),
+    )],
+    *[(["cond-entropy", "--lambda-x", "1", "--lambda-w-on", "2", "--lambda-w-off", "0.5"],
+       "--p-on", text, message) for text, message in (
+        ("0", None),
+        ("1", None),
+        ("abc", "expected a number, got 'abc'"),
+        ("nan", "must lie in [0, 1], got 'nan'"),
+        ("-inf", "must lie in [0, 1], got '-inf'"),
+        ("-0.1", "must lie in [0, 1], got '-0.1'"),
+        ("1.5", "must lie in [0, 1], got '1.5'"),
+    )],
+    *[(["entropy", "--lambda-w", "2", "--lambda-x", "1"], "--tol", text, message)
+      for text, message in (
+        ("5e-324", None),
+        ("abc", "expected a number, got 'abc'"),
+        ("inf", "must be a positive tolerance, got 'inf'"),
+        ("nan", "must be a positive tolerance, got 'nan'"),
+        ("0", "must be a positive tolerance, got '0'"),
+        ("-1e-10", "must be a positive tolerance, got '-1e-10'"),
+    )],
+    *[(["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "mc", "--seed", "0"],
+       "--n", text, message) for text, message in (
+        ("2", None),
+        ("abc", "expected an integer, got 'abc'"),
+        ("2.5", "expected an integer, got '2.5'"),
+        ("inf", "expected an integer, got 'inf'"),
+        ("1", "must be at least 2, got '1'"),
+        ("-3", "must be at least 2, got '-3'"),
+    )],
+    *[(["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "mc", "--n", "2"],
+       "--seed", text, message) for text, message in (
+        ("0", None),
+        ("abc", "expected an integer, got 'abc'"),
+        ("nan", "expected an integer, got 'nan'"),
+        ("-1", "must be nonnegative, got '-1'"),
+    )],
+]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("prefix, flag, text, message", ARGUMENT_CASES)
+    def test_exact_error_text(self, capsys, prefix, flag, text, message):
+        code, out, err = run(capsys, [*prefix, f"{flag}={text}"])
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == f"expsum {prefix[0]}: error: argument {flag}: {message}"
 
 
 def read_csv(path):

@@ -1,13 +1,12 @@
 """Distribution objects: densities, CDF, moments, seeded sampling."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from expsum.dist import (
-    Erlang2,
-    Exponential,
     HypoexpTwo,
     RatePair,
     hypoexp_cdf,
@@ -20,7 +19,7 @@ from expsum.oracle import _adaptive
 
 
 def quad(f, a, b, tol=1e-12):
-    return _adaptive(f, a, b, tol, 2000)
+    return _adaptive(f, a, b, tol)
 
 
 class TestRatePair:
@@ -58,6 +57,19 @@ class TestHypoexpTwo:
     def test_order_invariant_construction(self):
         assert HypoexpTwo.from_rates(2.0, 1.0) == HypoexpTwo.from_rates(1.0, 2.0)
 
+    def test_erlang2_rate_is_the_midpoint_without_overflow(self):
+        rng = np.random.default_rng(11)
+        hi = np.concatenate((10.0 ** rng.uniform(-323, 308.25, 4000), [5e-324, 1e-323, 2.0]))
+        lo = hi * (1.0 - rng.uniform(0.0, 1e-12, hi.size))
+        big = [(1.7976931348623157e308, 1.7976931348623157e308), (1.7e308, 1.7e308),
+               (1.7e308, 1.7e308 * (1.0 - 1e-13)), (9e307, 9e307)]
+        for a, b in [*zip(hi.tolist(), lo.tolist()), *big]:
+            d = HypoexpTwo.from_rates(a, b)
+            rate = d.erlang_rate
+            assert d.is_degenerate and d.rates.lambda_lo <= rate <= d.rates.lambda_hi
+            mid = 0.5 * (d.rates.lambda_hi + d.rates.lambda_lo)
+            assert rate == mid or (mid == math.inf and math.isfinite(rate))
+
 
 class TestPdf:
     def test_vanishes_at_zero(self):
@@ -89,9 +101,8 @@ class TestPdf:
     def test_degenerate_is_erlang_density(self):
         d = HypoexpTwo.from_rates(1.0, 1.0)
         assert abs(hypoexp_pdf(d, 1.0) - math.exp(-1.0)) < 1e-15
-        e = Erlang2(1.0)
         ys = np.linspace(0.0, 10.0, 50)
-        np.testing.assert_allclose(hypoexp_pdf(d, ys), e.pdf(ys), rtol=1e-14)
+        np.testing.assert_allclose(hypoexp_pdf(d, ys), ys * np.exp(-ys), rtol=1e-14)
 
 
 class TestLogPdf:
@@ -130,7 +141,7 @@ class TestCdf:
         d = HypoexpTwo.from_rates(2.0, 1.0)
         value = hypoexp_cdf(d, 1.0)
         assert abs(value - 0.39957640089372803) < 1e-12
-        assert abs(value - quad(d.pdf, 0.0, 1.0)) < 1e-10
+        assert abs(value - quad(functools.partial(hypoexp_pdf, d), 0.0, 1.0)) < 1e-10
 
     def test_monotone_nondecreasing(self):
         d = HypoexpTwo.from_rates(5.0, 0.2)
@@ -147,7 +158,7 @@ class TestCdf:
     def test_degenerate_cdf_integrates_erlang_density(self):
         d = HypoexpTwo.from_rates(1.0, 1.0)
         for y in (0.5, 2.0, 6.0):
-            assert abs(hypoexp_cdf(d, y) - quad(d.pdf, 0.0, y)) < 1e-10
+            assert abs(hypoexp_cdf(d, y) - quad(functools.partial(hypoexp_pdf, d), 0.0, y)) < 1e-10
 
 
 class TestMean:
@@ -207,23 +218,16 @@ class TestSampling:
 
 
 class TestSingleRateFamilies:
-    def test_exponential_pdf_and_mean(self):
-        e = Exponential(2.0)
-        assert e.pdf(0.0) == 2.0
-        assert abs(e.pdf(1.0) - 2.0 * math.exp(-2.0)) < 1e-15
-        assert e.pdf(-1.0) == 0.0
-        assert e.mean() == 0.5
+    """Erlang-2 is the two-phase law at equal rates."""
 
     def test_erlang2_pdf_and_mean(self):
-        e = Erlang2(1.0)
-        assert e.pdf(0.0) == 0.0
-        assert abs(e.pdf(2.0) - 2.0 * math.exp(-2.0)) < 1e-15
-        assert e.pdf(-0.5) == 0.0
-        assert e.mean() == 2.0
+        e = HypoexpTwo.from_rates(1.0, 1.0)
+        assert hypoexp_pdf(e, 0.0) == 0.0
+        assert abs(hypoexp_pdf(e, 2.0) - 2.0 * math.exp(-2.0)) < 1e-15
+        assert hypoexp_pdf(e, -0.5) == 0.0
+        assert hypoexp_mean(e) == 2.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
-            Exponential(bad)
-        with pytest.raises(ValueError):
-            Erlang2(bad)
+            HypoexpTwo.from_rates(bad, bad)

@@ -261,12 +261,11 @@ class TestHypoexpEntropyArray:
             hypoexp_entropy_array(np.array([1.0, bad, 3.0]), np.ones(3))
         assert str(array.value) == str(scalar.value)
 
-    def test_erlang2_overflow_rejected_like_scalar(self):
-        with pytest.raises(ValueError) as scalar:
-            hypoexp_entropy(RatePair(1.7e308, 1.7e308))
-        with pytest.raises(ValueError) as array:
-            hypoexp_entropy_array(np.array([1.7e308]), np.array([1.7e308]))
-        assert str(array.value) == str(scalar.value)
+    def test_erlang2_at_rates_whose_sum_overflows(self):
+        expected = 1.0 + EULER_GAMMA - math.log(1.7e308)
+        assert hypoexp_entropy(RatePair(1.7e308, 1.7e308)) == expected
+        array = hypoexp_entropy_array(np.array([1.7e308]), np.array([1.7e308]))
+        assert array.tolist() == [expected]
 
 
 class TestMeanConstrainedRatesArray:

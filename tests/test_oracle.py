@@ -1,5 +1,6 @@
 """Numerical oracles: quadrature, Monte-Carlo estimator, log-integral."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -7,13 +8,13 @@ import numpy as np
 import pytest
 
 from expsum import oracle
-from expsum.dist import Erlang2, Exponential, HypoexpTwo, hypoexp_log_pdf, sample_hypoexp
+from expsum.dist import HypoexpTwo, hypoexp_log_pdf, sample_hypoexp
 from expsum.entropy import erlang2_entropy
 from expsum.oracle import (
+    MAX_SUBDIVISIONS,
     MC_CHUNK,
     ConvergenceError,
     EstimateWithError,
-    QuadratureConfig,
     entropy_monte_carlo,
     entropy_quadrature,
     gr_log_integral,
@@ -23,35 +24,34 @@ from expsum.specfun import EULER_GAMMA
 
 
 class TestQuadratureConfig:
+    """The tolerance keyword and the subdivision budget of the quadrature oracles."""
+
     def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.abs_tol == 1e-10
-        assert cfg.max_subdivisions == 2000
+        for fn in (entropy_quadrature, normalization_quadrature, gr_log_integral):
+            assert inspect.signature(fn).parameters["abs_tol"].default == 1e-10
+        assert MAX_SUBDIVISIONS == 2000
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
     def test_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=tol)
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
+        d = HypoexpTwo.from_rates(2.0, 1.0)
+        for call in (
+            lambda: entropy_quadrature(d, abs_tol=tol),
+            lambda: normalization_quadrature(d, abs_tol=tol),
+            lambda: gr_log_integral(1.0, 1.0, abs_tol=tol),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"abs_tol must be positive and finite, got {tol!r}"
 
 
 class TestEntropyQuadrature:
-    def test_exponential_unit_rate(self):
-        assert abs(entropy_quadrature(Exponential(1.0)) - 1.0) < 1e-10
-
-    def test_exponential_rate_two(self):
-        expected = 1.0 - math.log(2.0)
-        assert abs(entropy_quadrature(Exponential(2.0)) - expected) < 1e-10
-
     def test_erlang2_unit_rate(self):
-        assert abs(entropy_quadrature(Erlang2(1.0)) - (1.0 + EULER_GAMMA)) < 1e-9
+        d = HypoexpTwo.from_rates(1.0, 1.0)
+        assert abs(entropy_quadrature(d) - (1.0 + EULER_GAMMA)) < 1e-9
 
     def test_erlang2_rate_two(self):
         expected = 1.0 + EULER_GAMMA - math.log(2.0)
-        assert abs(entropy_quadrature(Erlang2(2.0)) - expected) < 1e-9
+        assert abs(entropy_quadrature(HypoexpTwo.from_rates(2.0, 2.0)) - expected) < 1e-9
 
     def test_hypoexp_two_one(self):
         d = HypoexpTwo.from_rates(2.0, 1.0)
@@ -63,18 +63,13 @@ class TestEntropyQuadrature:
         assert abs(entropy_quadrature(d) - erlang2_entropy(1.0)) < 1e-9
 
     def test_loose_tolerance_still_close(self):
-        cfg = QuadratureConfig(abs_tol=1e-6)
         d = HypoexpTwo.from_rates(2.0, 1.0)
-        assert abs(entropy_quadrature(d, cfg) - (2.0 - math.log(2.0))) < 1e-5
+        assert abs(entropy_quadrature(d, abs_tol=1e-6) - (2.0 - math.log(2.0))) < 1e-5
 
     def test_budget_exhaustion_raises(self):
-        cfg = QuadratureConfig(abs_tol=1e-12, max_subdivisions=3)
+        # the case of the golden exit-3 command: 1e-30 is below what doubles resolve
         with pytest.raises(ConvergenceError):
-            entropy_quadrature(HypoexpTwo.from_rates(2.0, 1.0), cfg)
-
-    def test_rejects_unsupported_distribution(self):
-        with pytest.raises(TypeError):
-            entropy_quadrature(object())
+            entropy_quadrature(HypoexpTwo.from_rates(2.0, 1.0), abs_tol=1e-30)
 
 
 class TestNormalization:
@@ -89,8 +84,7 @@ class TestNormalization:
         assert worst <= 1e-10
 
     def test_single_rate_families(self):
-        assert abs(normalization_quadrature(Exponential(0.5)) - 1.0) < 1e-10
-        assert abs(normalization_quadrature(Erlang2(3.0)) - 1.0) < 1e-10
+        assert abs(normalization_quadrature(HypoexpTwo.from_rates(3.0, 3.0)) - 1.0) < 1e-10
 
 
 class TestMonteCarlo:
@@ -115,6 +109,11 @@ class TestMonteCarlo:
         assert est.std_error > 0.0
         assert abs(est.estimate - closed) <= 5.0 * est.std_error
         assert est.n_samples == 10**5
+
+    def test_erlang2_at_rates_whose_sum_overflows(self):
+        # the samples lie near 1e-308, so ln f must not floor y at a fixed value
+        est = entropy_monte_carlo(HypoexpTwo.from_rates(1.7e308, 1.7e308), 10**4, seed=42)
+        assert abs(est.estimate - erlang2_entropy(1.7e308)) <= 5.0 * est.std_error
 
     @pytest.mark.parametrize("n", [2, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 5])
     @pytest.mark.parametrize("rates", [(2.0, 1.0), (1.0, 1.0), (1e6, 1e-6)])

@@ -116,12 +116,28 @@ class TestDigammaMinusLog:
         with pytest.raises(ValueError):
             digamma_minus_log(bad)
 
+    @pytest.mark.parametrize("x", [1e-310, 5.5e-309, 5e-324])
+    def test_below_minus_dbl_max_is_minus_inf(self, x):
+        # psi(x) - ln x is about -1/x, which no double holds
+        assert digamma_minus_log(x) == -math.inf
+        assert digamma_minus_log_array(np.array([x])).tolist() == [-math.inf]
+
+    @pytest.mark.parametrize(
+        "x", [3.4e-308, 3e-308, 1e-308, 5.6e-309, 1e-300, 1e-3, 0.5, 1.0, 5.9, 6.0, 10.0, 1e8]
+    )
+    def test_matches_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.digamma(x) - mpmath.log(x)
+        assert abs(digamma_minus_log(x) - float(exact)) <= 2e-13 * max(1.0, abs(float(exact)))
+
 
 class TestArrayForms:
     def test_digamma_minus_log_array_bit_equal(self):
         rng = np.random.default_rng(7)
         edges = [6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0), 1.0,
-                 np.nextafter(1.0, 2.0), 5.0, 2.5, 1e-3, 1e-300, 1e12, 1e150]
+                 np.nextafter(1.0, 2.0), 5.0, 2.5, 1e-3, 1e-300, 1e12, 1e150,
+                 3.4e-308, 3e-308, 1e-308, 5.6e-309, 5.5e-309, 1e-310, 5e-324]
         x = np.concatenate((edges, 10.0 ** rng.uniform(-3, 15, 5000), rng.uniform(1, 7, 5000)))
         assert digamma_minus_log_array(x).tolist() == list(map(digamma_minus_log, x.tolist()))
 
