@@ -7,7 +7,6 @@ and Monte-Carlo oracles and a CLI that reproduces the figure data sets.
 """
 
 from .dist import (
-    DEGENERACY_RTOL,
     HypoexpTwo,
     RatePair,
     hypoexp_cdf,
@@ -39,7 +38,6 @@ from .specfun import EULER_GAMMA, digamma, digamma_minus_log
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEGENERACY_RTOL",
     "EULER_GAMMA",
     "ConvergenceError",
     "EntropyNats",

@@ -138,15 +138,17 @@ def _fig1_columns(grid_points: int):
     noise = [round(0.2 * k, 1) for k in range(1, 11)]
     lam_w = np.repeat(noise, n)
     lam_x = np.concatenate([np.geomspace(0.01, lw * (1.0 - 1e-3), n) for lw in noise])
-    h = entropy_mod.hypoexp_entropy_array(lam_w, lam_x)
-    shared = np.geomspace(0.01, 2.0, n).tolist()
+    shared = np.geomspace(0.01, 2.0, n)
+    # equal rates give the Erlang-2 entropy, so one array call covers both curves
+    h = entropy_mod.hypoexp_entropy_array(
+        np.concatenate((lam_w, shared)), np.concatenate((lam_x, shared))
+    )
+    shared = shared.tolist()
     columns = [
         ["hypoexp"] * (10 * n) + ["erlang2"] * n + ["single"] * n,
         lam_w.tolist() + shared + [None] * n,
         lam_x.tolist() + shared + shared,
-        h.tolist()
-        + list(map(entropy_mod.erlang2_entropy, shared))
-        + list(map(entropy_mod.exp_entropy, shared)),
+        h.tolist() + list(map(entropy_mod.exp_entropy, shared)),
     ]
     return ["curve", "lambda_w", "lambda_x", "entropy_nats"], columns
 

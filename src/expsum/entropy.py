@@ -9,14 +9,16 @@ the differential entropy of Y is
 
     h(Y) = 1 + gamma + ln((lambda_hi - lambda_lo) / (lambda_hi * lambda_lo))
              + psi(lambda_hi / (lambda_hi - lambda_lo))
-         = 1 + gamma - ln(lambda_lo) + (psi(r) - ln(r)),
+         = 1 + gamma - ln(lambda_lo) + T(w),   T(w) = psi(1/w) - ln(1/w),
 
-the second line being an exact algebraic rewrite of the first. The
-rewrite is what gets evaluated: as the rates approach each other r blows
-up and the first form subtracts two diverging terms, while the second
-isolates the vanishing difference psi(r) - ln(r), which ``specfun``
-computes without cancellation. In the limit of equal rates the value
-degrades continuously to the Erlang-2 entropy 1 + gamma - ln(lambda).
+with w = 1/r = (lambda_hi - lambda_lo) / lambda_hi in [0, 1). The second
+line is an exact algebraic rewrite of the first, and it is what gets
+evaluated: as the rates approach each other the first form subtracts two
+diverging terms, while T(w) vanishes with w and ``specfun`` computes it
+without cancellation, as a series in w for w <= 1/10 and by the digamma
+recurrence at r above that. T(0) is exactly zero, so equal rates give the
+Erlang-2 entropy 1 + gamma - ln(lambda) with no separate branch, and
+nearly equal ones approach it continuously.
 
 The ``_array`` forms evaluate their scalar namesakes over numpy arrays,
 element by element and bit for bit; numpy is imported inside them only.
@@ -27,8 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import DEGENERACY_RTOL, RatePair, _require_rate, _require_rates, erlang2_rate
-from .specfun import EULER_GAMMA, digamma_minus_log, digamma_minus_log_array, log_each
+from .dist import RatePair, _require_rate, _require_rates
+from .specfun import _SHIFT_THRESHOLD, EULER_GAMMA, _log_ratio, _series_tail, log_each
+from .specfun import digamma_minus_log, digamma_minus_log_array
 
 #: Differential entropies are plain floats measured in nats (natural log
 #: base); they may be negative.
@@ -84,39 +87,47 @@ def erlang2_entropy(lam: float) -> EntropyNats:
     return 1.0 + EULER_GAMMA - math.log(lam)
 
 
+def _tail(hi: float, lo: float) -> float:
+    """T(w) = psi(1/w) - ln(1/w) at w = (hi - lo)/hi, for hi >= lo.
+
+    The series takes w itself; the recurrence takes r = hi/(hi - lo),
+    which is rounded once, not as 1/w.
+    """
+    gap = hi - lo
+    w = gap / hi
+    return _series_tail(w) if w * _SHIFT_THRESHOLD <= 1.0 else digamma_minus_log(hi / gap)
+
+
 def hypoexp_entropy(rates: RatePair) -> EntropyNats:
     """Entropy of the sum of independent exponentials at the two rates.
 
-    Evaluates the stable form 1 + gamma - ln(lambda_lo) + (psi(r) - ln r)
-    with r = lambda_hi / (lambda_hi - lambda_lo). Rates equal within the
-    degeneracy tolerance fall back to the Erlang-2 value at the common
-    rate, which is the continuous limit.
+    Evaluates 1 + gamma - ln(lambda_lo) + T(w), with
+    w = (lambda_hi - lambda_lo)/lambda_hi. At equal rates T(0) is exactly
+    zero, so the value equals ``erlang2_entropy`` of the common rate.
     """
     hi, lo = rates.lambda_hi, rates.lambda_lo
-    if rates.nearly_equal:
-        return erlang2_entropy(erlang2_rate(hi, lo))
-    r = hi / (hi - lo)
-    return 1.0 + EULER_GAMMA - math.log(lo) + digamma_minus_log(r)
+    return 1.0 + EULER_GAMMA - math.log(lo) + _tail(hi, lo)
 
 
 def hypoexp_entropy_array(rate_a, rate_b):
     """``hypoexp_entropy(RatePair(a, b))`` for each pair of elements.
 
-    The rates are checked, ordered and switched to the Erlang-2 value
-    exactly as ``RatePair`` and ``hypoexp_entropy`` do, so every element
-    equals the scalar value bit for bit.
+    The rates are checked and ordered as ``RatePair`` does, and T(w) takes
+    the series or the recurrence as ``_tail`` does, so every element equals
+    the scalar value bit for bit.
     """
     import numpy as np
 
     a = _require_rates(rate_a, "lambda_hi")
     b = _require_rates(rate_b, "lambda_lo")
     hi, lo = np.maximum(a, b), np.minimum(a, b)
-    nearly = hi - lo <= DEGENERACY_RTOL * hi
-    apart = ~nearly
-    log_arg = lo.copy()
-    log_arg[nearly] = list(map(erlang2_rate, hi[nearly].tolist(), lo[nearly].tolist()))
-    h = 1.0 + EULER_GAMMA - log_each(log_arg)
-    h[apart] += digamma_minus_log_array(hi[apart] / (hi[apart] - lo[apart]))
+    gap = hi - lo
+    w = gap / hi
+    tail = _series_tail(w)
+    rec = w * _SHIFT_THRESHOLD > 1.0
+    tail[rec] = digamma_minus_log_array(hi[rec] / gap[rec])
+    h = 1.0 + EULER_GAMMA - log_each(lo)
+    h += tail
     return h
 
 
@@ -131,13 +142,18 @@ def mutual_info_aen(signal_rate: float, noise_rate: float) -> EntropyNats:
         gamma + ln((noise_rate - signal_rate) / signal_rate)
               + psi(noise_rate / (noise_rate - signal_rate)),
 
-    and the difference form extends it to any pair of positive rates; at
-    equal rates the value is exactly gamma. Always nonnegative.
+    and the difference form extends it to any pair of positive rates. It
+    is evaluated as gamma + ln(lambda_hi/lambda_lo) + T(w) when the noise
+    is faster and gamma + T(w) otherwise, so the ln lambda terms of h(Y)
+    and h(W) never cancel numerically, and at equal rates the value is
+    exactly gamma. (-log1p(-w) would equal the logarithm but loses digits
+    as w approaches 1.) Always nonnegative.
     """
     signal_rate = _require_rate(signal_rate, "signal_rate")
     noise_rate = _require_rate(noise_rate, "noise_rate")
-    h_out = hypoexp_entropy(RatePair(signal_rate, noise_rate))
-    return h_out - exp_entropy(noise_rate)
+    hi, lo = max(signal_rate, noise_rate), min(signal_rate, noise_rate)
+    info = EULER_GAMMA + _log_ratio(hi, lo) if noise_rate > signal_rate else EULER_GAMMA
+    return info + _tail(hi, lo)
 
 
 def cond_entropy_light(model: LightGatedModel) -> EntropyNats:

@@ -149,17 +149,20 @@ def _truncation_point(d: HypoexpTwo, abs_tol: float) -> float:
     """Smallest doubling of 20/lambda_slow whose tail bound is < abs_tol/10.
 
     The bound is on the mass of |f ln f| (and of f) beyond u.
-    Erlang-2(lam), valid for u >= 1 so that ln y <= y on the tail:
+    Erlang-2(lam), for exactly equal rates, valid for u >= 1 so that
+    ln y <= y on the tail:
         exp(-lam u) (2|ln lam|(1 + lam u)
                      + (1 + lam)(lam^2 u^2 + 2 lam u + 2)/lam).
-    Two-phase with c = norm const: f <= c exp(-lambda_lo y) and
-    |ln f| <= |ln c| + lambda_hi y + 1 on the tail, giving
+    Distinct rates, with c = lambda_hi lambda_lo / (lambda_hi - lambda_lo):
+    f <= c exp(-lambda_lo y) and |ln f| <= |ln c| + lambda_hi y + 1 on the
+    tail, giving
         c exp(-lambda_lo u) (|ln c| + lambda_hi u + 1)(u + 2/lambda_lo).
     Each bound also dominates the plain density tail, so the same
     truncation point serves the normalization integral.
     """
-    if d.is_degenerate:
-        lam = d.erlang_rate
+    hi, lo = d.rates.lambda_hi, d.rates.lambda_lo
+    if hi == lo:
+        lam = hi
 
         def tail_bound(u):
             e = math.exp(-lam * u)
@@ -168,7 +171,7 @@ def _truncation_point(d: HypoexpTwo, abs_tol: float) -> float:
 
         u = max(20.0 / lam, 1.0)  # the Erlang-2 bound needs u >= 1
     else:
-        c, hi, lo = d.norm_const, d.rates.lambda_hi, d.rates.lambda_lo
+        c = hi * lo / (hi - lo)
 
         def tail_bound(u):
             return c * math.exp(-lo * u) * (abs(math.log(c)) + hi * u + 1.0) * (u + 2.0 / lo)

@@ -89,7 +89,24 @@ class TestEntropyCommand:
         assert first_value(out, "entropy_nats") == h
         code, out, err = run(capsys, ["mi", "--signal-rate", rate, "--noise-rate", rate])
         assert (code, err) == (0, "")
-        assert first_value(out, "mutual_information") == h - (1.0 - math.log(float(rate)))
+        assert first_value(out, "mutual_information") == EULER_GAMMA
+
+    def test_quadrature_at_a_relative_gap_of_1e_9(self, capsys):
+        argv = ["entropy", "--lambda-w", "1.000000001", "--lambda-x", "1"]
+        code, out, err = run(capsys, [*argv, "--method", "quad"])
+        assert (code, err) == (0, "")
+        _, closed, _ = run(capsys, argv)
+        assert abs(first_value(out, "entropy_nats") - first_value(closed, "entropy_nats")) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "rates, code",
+        [(("2e-300", "1e-300"), 2), (("1e300", "1e-300"), 3), (("1.7e308", "1.7e308"), 3)],
+    )
+    def test_quadrature_at_extreme_rates_fails_cleanly(self, capsys, rates, code):
+        # the GK15 oracle cannot integrate at these rates yet; pinned so that they
+        # keep failing cleanly, never with 1 (verification failure) or 5 (crash)
+        argv = ["entropy", "--lambda-w", rates[0], "--lambda-x", rates[1], "--method", "quad"]
+        assert run(capsys, argv)[:2] == (code, "")
 
     def test_unattainable_tolerance_exits_three(self, capsys):
         code, _, err = run(

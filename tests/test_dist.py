@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mp_entropy
 from expsum.dist import (
     HypoexpTwo,
     RatePair,
@@ -15,7 +16,10 @@ from expsum.dist import (
     hypoexp_pdf,
     sample_hypoexp,
 )
+from expsum.entropy import erlang2_entropy, hypoexp_entropy
 from expsum.oracle import _adaptive
+
+DBL_MAX = 1.7976931348623157e308
 
 
 def quad(f, a, b, tol=1e-12):
@@ -36,39 +40,76 @@ class TestRatePair:
         with pytest.raises(ValueError):
             RatePair(1.0, bad)
 
-    def test_nearly_equal_threshold(self):
-        assert RatePair(2.0, 2.0).nearly_equal
-        assert RatePair(1.0 + 1e-13, 1.0).nearly_equal
-        assert not RatePair(1.0 + 1e-9, 1.0).nearly_equal
-
 
 class TestHypoexpTwo:
-    def test_norm_const_cached(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
-        assert d.norm_const == 2.0
-        assert not d.is_degenerate
-
-    def test_degenerate_sentinel(self):
-        d = HypoexpTwo.from_rates(1.0, 1.0)
-        assert d.norm_const is None
-        assert d.is_degenerate
-        assert d.erlang_rate == 1.0
-
     def test_order_invariant_construction(self):
         assert HypoexpTwo.from_rates(2.0, 1.0) == HypoexpTwo.from_rates(1.0, 2.0)
 
-    def test_erlang2_rate_is_the_midpoint_without_overflow(self):
-        rng = np.random.default_rng(11)
-        hi = np.concatenate((10.0 ** rng.uniform(-323, 308.25, 4000), [5e-324, 1e-323, 2.0]))
-        lo = hi * (1.0 - rng.uniform(0.0, 1e-12, hi.size))
-        big = [(1.7976931348623157e308, 1.7976931348623157e308), (1.7e308, 1.7e308),
-               (1.7e308, 1.7e308 * (1.0 - 1e-13)), (9e307, 9e307)]
-        for a, b in [*zip(hi.tolist(), lo.tolist()), *big]:
+
+def mp_density(mp, d, y):
+    """pdf, cdf, log-pdf and ln E(gap, y) of ``d`` at ``y`` from mpmath, at
+    the exact binary rates and point."""
+    hi, lo, y = mp.mpf(d.rates.lambda_hi), mp.mpf(d.rates.lambda_lo), mp.mpf(y)
+    gap = hi - lo
+    e = y if gap == 0 else -mp.expm1(-gap * y) / gap
+    pdf = hi * lo * mp.exp(-lo * y) * e
+    return pdf, 1 - mp.exp(-lo * y) * (1 + lo * e), mp.log(pdf), mp.log(e)
+
+
+def assert_density_matches_mpmath(mp, d, ys):
+    """pdf to 1e-15 relative (times lambda_lo y, the condition number of
+    exp(-lambda_lo y)), cdf to 1e-15 absolute, and log-pdf to 4 ulp of the
+    largest of its terms ln lambda_hi, ln lambda_lo, lambda_lo y and ln E."""
+    hi, lo = d.rates.lambda_hi, d.rates.lambda_lo
+    ys = np.asarray(ys, dtype=float)
+    for y, pdf, cdf, log_pdf in zip(
+        ys.tolist(),
+        hypoexp_pdf(d, ys).tolist(),
+        hypoexp_cdf(d, ys).tolist(),
+        hypoexp_log_pdf(d, ys).tolist(),
+    ):
+        f, big_f, log_f, log_e = mp_density(mp, d, y)
+        t = lo * y
+        assert abs(pdf - f) <= 1e-15 * max(1.0, t) * f, (d, y)
+        assert abs(cdf - big_f) <= 1e-15, (d, y)
+        largest = max(abs(math.log(hi)), abs(math.log(lo)), t, abs(float(log_e)))
+        assert abs(log_pdf - log_f) <= 4.0 * math.ulp(largest), (d, y)
+
+
+class TestEqualRates:
+    """At equal rates the one density form is the Erlang-2 law, and it stays
+    continuous as the rates separate."""
+
+    @pytest.mark.parametrize("lam", [1e-300, 0.3, 1.0, 2.0, 7.5, 1e300])
+    def test_equal_rates_give_erlang2(self, lam):
+        d = HypoexpTwo.from_rates(lam, lam)
+        ys = np.geomspace(1e-6, 40.0, 60) / lam
+        t = lam * ys
+        np.testing.assert_allclose(hypoexp_pdf(d, ys), lam * t * np.exp(-t), rtol=1e-15)
+        np.testing.assert_allclose(
+            hypoexp_cdf(d, ys), -np.expm1(-t) - t * np.exp(-t), rtol=1e-15
+        )
+        np.testing.assert_allclose(
+            hypoexp_log_pdf(d, ys), math.log(lam) + np.log(t) - t, rtol=1e-15, atol=1e-15
+        )
+        assert hypoexp_entropy(d.rates) == erlang2_entropy(lam)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_continuous_across_tiny_gaps(self, mp, lam, gap):
+        d = HypoexpTwo.from_rates(lam * (1.0 + gap), lam)
+        assert_density_matches_mpmath(mp, d, np.geomspace(1e-8, 40.0, 30) / lam)
+        exact = mp_entropy(mp, d.rates.lambda_hi, d.rates.lambda_lo)
+        assert abs(hypoexp_entropy(d.rates) - exact) <= 5e-15
+
+    def test_no_overflow_near_dbl_max(self, mp):
+        pairs = [(DBL_MAX, DBL_MAX), (1.7e308, 1.7e308), (1.7e308, 1.7e308 * (1.0 - 1e-13)),
+                 (9e307, 9e307), (1e200, 5e199), (1e200, 1e200 * (1.0 - 1e-10))]
+        for a, b in pairs:
             d = HypoexpTwo.from_rates(a, b)
-            rate = d.erlang_rate
-            assert d.is_degenerate and d.rates.lambda_lo <= rate <= d.rates.lambda_hi
-            mid = 0.5 * (d.rates.lambda_hi + d.rates.lambda_lo)
-            assert rate == mid or (mid == math.inf and math.isfinite(rate))
+            assert_density_matches_mpmath(mp, d, np.array([1e-3, 0.5, 1.0, 3.0, 20.0]) / b)
+            h = hypoexp_entropy(d.rates)
+            assert abs(h - mp_entropy(mp, a, b)) <= 4.0 * math.ulp(math.log(b))
 
 
 class TestPdf:
@@ -98,6 +139,11 @@ class TestPdf:
         tiny = np.array([0.0, 1e-300, 1e-18, 1e-16, 1e-12])
         assert np.all(hypoexp_pdf(d, tiny) >= 0.0)
 
+    def test_matches_mpmath_where_the_difference_form_cancelled(self, mp):
+        # c (e^(-lo y) - e^(-hi y)) lost 2.2e-5, 1.0 and 3.9e-7 of the pdf here
+        for hi, lo, y in ((2.0, 1.0, 1e-12), (1.0 + 1e-10, 1.0, 1e-8), (1.0 + 1e-10, 1.0, 1.0)):
+            assert_density_matches_mpmath(mp, HypoexpTwo.from_rates(hi, lo), [y])
+
     def test_degenerate_is_erlang_density(self):
         d = HypoexpTwo.from_rates(1.0, 1.0)
         assert abs(hypoexp_pdf(d, 1.0) - math.exp(-1.0)) < 1e-15
@@ -119,6 +165,14 @@ class TestLogPdf:
         np.testing.assert_allclose(
             np.exp(hypoexp_log_pdf(d, ys)), hypoexp_pdf(d, ys), rtol=1e-12
         )
+
+    def test_matches_mpmath_over_the_domain(self, mp):
+        rng = np.random.default_rng(9)
+        for kind in range(60):
+            lo = 10.0 ** rng.uniform(-6, 6)
+            hi = lo * (1.0 + 10.0 ** rng.uniform(-15, -3), 10.0 ** rng.uniform(0, 6), 1.0)[kind % 3]
+            ys = 10.0 ** rng.uniform(-12, 1.7, 20) / lo
+            assert_density_matches_mpmath(mp, HypoexpTwo.from_rates(hi, lo), ys)
 
     def test_minus_inf_outside_support(self):
         d = HypoexpTwo.from_rates(2.0, 1.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mp_entropy
 from expsum.dist import RatePair
 from expsum.entropy import (
     LightGatedModel,
@@ -116,6 +117,48 @@ class TestHypoexpEntropy:
             hypoexp_entropy(RatePair(-1.0, 1.0))
 
 
+DBL_MAX = 1.7976931348623157e308
+
+
+class TestAgainstMpmath:
+    """The closed forms at a few ulp of their largest term, over the whole
+    domain, against mpmath at 40 digits."""
+
+    @staticmethod
+    def moderate_pairs():
+        # lambda_lo log-uniform in [1e-6, 1e6], ratios from 1 + 1e-15 to 1e6
+        rng = np.random.default_rng(3)
+        lo = 10.0 ** rng.uniform(-6, 6, 3000)
+        return zip((lo * (1.0 + 10.0 ** rng.uniform(-15, 6, lo.size))).tolist(), lo.tolist())
+
+    def test_entropy_within_5e_15_on_moderate_rates(self, mp):
+        for hi, lo in self.moderate_pairs():
+            assert abs(hypoexp_entropy(RatePair(hi, lo)) - mp_entropy(mp, hi, lo)) <= 5e-15
+
+    def test_entropy_within_4_ulp_at_extreme_rates(self, mp):
+        rng = np.random.default_rng(5)
+        lo = 10.0 ** rng.uniform(-323.3, 308.2, 3000)
+        with np.errstate(over="ignore"):
+            hi = np.minimum(lo * (1.0 + 10.0 ** rng.uniform(-16, 3, lo.size)), DBL_MAX)
+        edges = [(5e-324, 5e-324), (1e-323, 5e-324), (DBL_MAX, DBL_MAX), (1.7e308, 5e-324),
+                 (DBL_MAX, math.nextafter(DBL_MAX, 0.0)), (2e-300, 1e-300), (1e300, 1e-300)]
+        for a, b in [*zip(hi.tolist(), lo.tolist()), *edges]:
+            largest = max(1.0 + EULER_GAMMA, abs(math.log(b)))
+            error = abs(hypoexp_entropy(RatePair(a, b)) - mp_entropy(mp, a, b))
+            assert error <= 4.0 * math.ulp(largest), (a, b)
+
+    def test_mutual_information_within_5e_15_on_moderate_rates(self, mp):
+        for hi, lo in self.moderate_pairs():
+            for signal, noise in ((hi, lo), (lo, hi)):
+                exact = mp_entropy(mp, hi, lo) - (1 - mp.log(mp.mpf(noise)))
+                assert abs(mutual_info_aen(signal, noise) - exact) <= 5e-15
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-300, 0.3, 1.0, 2.0, 1e300, 1.7e308, DBL_MAX])
+    def test_equal_rates_are_exact(self, lam):
+        assert hypoexp_entropy(RatePair(lam, lam)) == erlang2_entropy(lam)
+        assert mutual_info_aen(lam, lam) == EULER_GAMMA
+
+
 class TestMutualInfo:
     def test_one_nat_point(self):
         assert abs(mutual_info_aen(1.0, 2.0) - 1.0) < 1e-12
@@ -144,6 +187,12 @@ class TestMutualInfo:
         for x in rate_grid():
             for w in rate_grid():
                 assert mutual_info_aen(x, w) > 0.0
+
+    def test_nonnegative_over_the_whole_domain(self):
+        # h(Y) - h(W) as a difference of two terms near -ln lambda dipped below 0
+        rng = np.random.default_rng(1)
+        rates = 10.0 ** rng.uniform(-300, 300, size=(2000, 2))
+        assert min(mutual_info_aen(s, n) for s, n in rates.tolist()) >= 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, bad):
@@ -215,16 +264,21 @@ def array_sweep():
     """Seeded rate pairs over every branch of the closed form."""
     rng = np.random.default_rng(20161121)
     below_six = np.nextafter(5.0, 0.0)  # hi = 6: r = 6 / (1 + ulp) < 6
+    below_nine = np.nextafter(9.0, 0.0)  # hi = 10: w = (1 + ulp)/10 > 1/10
     scales = 2.0 ** rng.uniform(-20, 20, 40)
-    gaps = np.geomspace(1e-13, 1e-11, 201)  # straddles DEGENERACY_RTOL
+    gaps = np.geomspace(1e-13, 1e-11, 201)
     hi = 10.0 ** rng.uniform(-6, 6, 201)
     pairs = [
         (6.0, 5.0), (12.0, 10.0), (6.0, below_six), (6.0, np.nextafter(5.0, 6.0)),
+        (10.0, 9.0), (10.0, below_nine), (10.0, np.nextafter(9.0, 10.0)),
         (6.0, 6.0), (1.0, 1.0), (2.0, 2.0), (1e6, 1e-6), (1e300, 1e-300),
         (1.0, 1.0 - 1e-6), (1.0, 1.0 - 1e-9), (5e-324, 5e-324), (1.0, 5e-324),
+        (1.7976931348623157e308, 1.7976931348623157e308), (1.7e308, 5e-324),
     ]
     pairs += [(6.0 * s, 5.0 * s) for s in scales]
     pairs += [(6.0 * s, below_six * s) for s in scales]
+    pairs += [(10.0 * s, 9.0 * s) for s in scales]
+    pairs += [(10.0 * s, below_nine * s) for s in scales]
     pairs += zip(hi, hi * (1.0 - gaps))
     pairs += zip(hi, hi * (1.0 + gaps))
     pairs += zip(10.0 ** rng.uniform(-6, 6, 2000), 10.0 ** rng.uniform(-6, 6, 2000))
@@ -243,11 +297,21 @@ class TestHypoexpEntropyArray:
         assert hypoexp_entropy_array(b, a).tolist() == scalar
 
     def test_sweep_covers_both_regimes(self):
+        # T(w) by the series up to w = 1/10 and by the recurrence above it
         a, b = array_sweep()
-        pairs = [RatePair(x, y) for x, y in zip(a.tolist(), b.tolist())]
-        ratios = [p.lambda_hi / (p.lambda_hi - p.lambda_lo) for p in pairs if not p.nearly_equal]
-        assert sum(p.nearly_equal for p in pairs) > 100
-        assert 6.0 in ratios and math.nextafter(6.0, 0.0) in ratios and max(ratios) > 1e11
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        w = ((hi - lo) / hi).tolist()
+        series = [x for x in w if x * 10.0 <= 1.0]
+        recurrence = [x for x in w if x * 10.0 > 1.0]
+        assert series.count(0.0) > 50 and len(series) > 500 and len(recurrence) > 500
+        assert 0.1 in series and min(recurrence) < math.nextafter(0.1, 1.0) * (1.0 + 1e-15)
+        assert 0.0 < min(x for x in series if x > 0.0) < 1e-12
+
+    def test_equal_rates_are_erlang2_bit_for_bit(self):
+        # the Erlang-2 curve of fig1 is built this way
+        rates = np.append(np.geomspace(0.01, 2.0, 2000), [5e-324, 1.7e308, 1.7976931348623157e308])
+        expected = list(map(erlang2_entropy, rates.tolist()))
+        assert hypoexp_entropy_array(rates, rates).tolist() == expected
 
     def test_contact_point_is_erlang2(self):
         hi, lo = mean_constrained_rates_array(np.array([2.0]))
