@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .dist import RatePair, _require_rate, _require_rates
-from .specfun import _SHIFT_THRESHOLD, EULER_GAMMA, _log_ratio, _series_tail, log_each
-from .specfun import digamma_minus_log, digamma_minus_log_array
+from .specfun import _SHIFT_THRESHOLD, EULER_GAMMA, _log_ratio, _near_one_tail, _series_tail
+from .specfun import digamma_minus_log, digamma_minus_log_array, log_each
 
 #: Differential entropies are plain floats measured in nats (natural log
 #: base); they may be negative.
@@ -147,13 +147,21 @@ def mutual_info_aen(signal_rate: float, noise_rate: float) -> EntropyNats:
     is faster and gamma + T(w) otherwise, so the ln lambda terms of h(Y)
     and h(W) never cancel numerically, and at equal rates the value is
     exactly gamma. (-log1p(-w) would equal the logarithm but loses digits
-    as w approaches 1.) Always nonnegative.
+    as w approaches 1.) When the signal is faster than the noise by more
+    than a factor of 11, gamma + T(w) itself cancels, as T(w) -> -gamma;
+    there it is the series in e = lambda_lo/(lambda_hi - lambda_lo) of
+    ``_near_one_tail``, which keeps full relative accuracy. Always
+    nonnegative.
     """
     signal_rate = _require_rate(signal_rate, "signal_rate")
     noise_rate = _require_rate(noise_rate, "noise_rate")
     hi, lo = max(signal_rate, noise_rate), min(signal_rate, noise_rate)
-    info = EULER_GAMMA + _log_ratio(hi, lo) if noise_rate > signal_rate else EULER_GAMMA
-    return info + _tail(hi, lo)
+    if noise_rate > signal_rate:
+        return EULER_GAMMA + _log_ratio(hi, lo) + _tail(hi, lo)
+    gap = hi - lo
+    if 10.0 * lo <= gap:  # e <= 1/10, the range of _near_one_tail
+        return _near_one_tail(lo / gap)
+    return EULER_GAMMA + _tail(hi, lo)
 
 
 def cond_entropy_light(model: LightGatedModel) -> EntropyNats:

@@ -43,6 +43,31 @@ _ASYMPTOTIC = (
 )
 
 
+# Coefficients zeta(k+1) - 1/k for k = 1..17: the Taylor series
+# gamma + psi(1 + e) - ln(1 + e) = sum_k (-1)^(k+1) (zeta(k+1) - 1/k) e^k.
+# Against mpmath at 40 digits, 17 terms leave a truncation error below the
+# rounding error for e <= 1/10 (worst 2.2e-16 relative).
+_NEAR_ONE = (
+    0.6449340668482264,
+    0.7020569031595942,
+    0.7489899003778049,
+    0.7869277551433699,
+    0.8173430619844492,
+    0.8416826107152562,
+    0.8612202133408015,
+    0.8770083928260822,
+    0.8898834640167069,
+    0.9004941886041194,
+    0.9093369956442171,
+    0.9167893800142451,
+    0.9231381712119818,
+    0.9286020168077356,
+    0.933348615592742,
+    0.9375076371976379,
+    0.9411802878815003,
+)
+
+
 def _require_positive(x: float, name: str) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
@@ -62,6 +87,19 @@ def _series_tail(w):
     for coeff in reversed(_ASYMPTOTIC):
         s = (s + coeff) * z
     return -0.5 * w - s
+
+
+def _near_one_tail(e: float) -> float:
+    """gamma + psi(1 + e) - ln(1 + e) for 0 <= e <= 1/10, by its Taylor series.
+
+    The value vanishes like 0.645 e, and the series carries full relative
+    accuracy down to the smallest e, where gamma + psi(1/w) - ln(1/w) at
+    w = 1/(1 + e) cancels to an absolute error of about 2e-16.
+    """
+    s = 0.0
+    for coeff in reversed(_NEAR_ONE):
+        s = coeff - e * s
+    return e * s
 
 
 def digamma(x: float) -> float:

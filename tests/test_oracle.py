@@ -115,28 +115,51 @@ class TestMonteCarlo:
         est = entropy_monte_carlo(HypoexpTwo.from_rates(1.7e308, 1.7e308), 10**4, seed=42)
         assert abs(est.estimate - erlang2_entropy(1.7e308)) <= 5.0 * est.std_error
 
-    @pytest.mark.parametrize("n", [2, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 5])
+    @staticmethod
+    def one_shot_values(rates, n, seed):
+        """-ln f at the samples of the one-shot ``sample_hypoexp`` stream."""
+        d = HypoexpTwo.from_rates(*rates)
+        return -hypoexp_log_pdf(d, sample_hypoexp(d, np.random.default_rng(seed), n))
+
+    @pytest.mark.parametrize("n", [2, MC_CHUNK - 1, MC_CHUNK])
     @pytest.mark.parametrize("rates", [(2.0, 1.0), (1.0, 1.0), (1e6, 1e-6)])
     @pytest.mark.parametrize("seed", [42, 20161121])
-    def test_streaming_matches_one_shot_bit_for_bit(self, n, rates, seed):
-        # the one-shot form the chunked estimator must reproduce exactly
-        d = HypoexpTwo.from_rates(*rates)
-        vals = -hypoexp_log_pdf(d, sample_hypoexp(d, np.random.default_rng(seed), n))
+    def test_one_chunk_matches_one_shot_bit_for_bit(self, n, rates, seed):
+        vals = self.one_shot_values(rates, n, seed)
         expected = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)))
-        est = entropy_monte_carlo(d, n, seed)
+        est = entropy_monte_carlo(HypoexpTwo.from_rates(*rates), n, seed)
         assert (est.estimate, est.std_error) == expected
 
-    def test_memory_is_eight_bytes_per_sample_plus_a_chunk(self):
+    @pytest.mark.parametrize("n", [MC_CHUNK + 1, 3 * MC_CHUNK + 5, 10**6])
+    @pytest.mark.parametrize("rates", [(2.0, 1.0), (1.0, 1.0), (1e6, 1e-6)])
+    @pytest.mark.parametrize("seed", [42, 20161121])
+    def test_merged_chunks_match_exact_sums(self, n, rates, seed):
+        vals = self.one_shot_values(rates, n, seed)
+        mean = math.fsum(vals.tolist()) / n
+        m2 = math.fsum(((vals - mean) ** 2).tolist())
+        est = entropy_monte_carlo(HypoexpTwo.from_rates(*rates), n, seed)
+        assert abs(est.estimate - mean) <= 4 * math.ulp(math.fsum(np.abs(vals).tolist()) / n)
+        # M2 within 1e-15 relative, as seen through the square root (which
+        # halves a relative error) and the roundings that follow it
+        std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        assert abs(est.std_error - std_error) <= 0.5e-15 * std_error + 2 * math.ulp(std_error)
+
+    @staticmethod
+    def traced_peak(n):
         d = HypoexpTwo.from_rates(2.0, 1.0)
-        n = 10**6
-        entropy_monte_carlo(d, 1000, 0)  # first-call set-up outside the trace
         tracemalloc.start()
         try:
             entropy_monte_carlo(d, n, 0)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n + 8 * 2**20
+
+    def test_memory_does_not_grow_with_n(self):
+        entropy_monte_carlo(HypoexpTwo.from_rates(2.0, 1.0), 1000, 0)  # set-up outside the trace
+        small = self.traced_peak(4 * MC_CHUNK)
+        large = self.traced_peak(10**7)
+        assert large <= 16 * 8 * MC_CHUNK
+        assert abs(large - small) <= 8 * MC_CHUNK
 
     def test_non_finite_log_density_raises(self, monkeypatch):
         def one_inf(d, y):
@@ -150,6 +173,22 @@ class TestMonteCarlo:
         message = str(info.value)
         for part in ("sample 7", "3.0", "2.0", "n=10", "seed=5"):
             assert part in message
+
+    def test_non_finite_value_in_a_later_chunk_names_its_global_index(self, monkeypatch):
+        calls = []
+
+        def inf_in_second_chunk(d, y):
+            out = hypoexp_log_pdf(d, y)
+            calls.append(None)
+            if len(calls) == 2:
+                out[7] = -np.inf
+            return out
+
+        monkeypatch.setattr(oracle, "hypoexp_log_pdf", inf_in_second_chunk)
+        with pytest.raises(FloatingPointError) as info:
+            entropy_monte_carlo(HypoexpTwo.from_rates(3.0, 2.0), 3 * MC_CHUNK, seed=5)
+        assert f"at sample {MC_CHUNK + 7} " in str(info.value)
+        assert len(calls) == 2
 
 
 class TestGrLogIntegral:
