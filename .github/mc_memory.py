@@ -2,11 +2,11 @@
 
 Runs ``expsum entropy --method mc`` at 2e7 samples in a child process and
 reads the child's peak resident set size from ``getrusage(RUSAGE_CHILDREN)``.
-Exits 1 when it is above the limit (100 MB unless given), 0 otherwise, and
+Exits 1 when it is above ``LIMIT_MB``, 0 otherwise, and
 with the child's code when the child itself fails. The estimator keeps one
 chunk of samples, so its memory should not grow with the sample count.
 
-    PYTHONPATH=src python .github/mc_memory.py [limit_mb]
+    PYTHONPATH=src python .github/mc_memory.py
 """
 
 import resource
@@ -15,18 +15,18 @@ import sys
 
 COMMAND = ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "mc",
            "--n", "20000000", "--seed", "1"]
+LIMIT_MB = 100.0
 
 
-def main(argv):
-    limit_mb = float(argv[0]) if argv else 100.0
+def main():
     child = subprocess.run([sys.executable, "-m", "expsum.cli", *COMMAND])
     if child.returncode:
         return child.returncode
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0  # KiB on Linux
-    verdict = "ok" if peak_mb <= limit_mb else "above the limit"
-    print(f"peak RSS of the child {peak_mb:.1f} MB, limit {limit_mb:.0f} MB: {verdict}")
-    return 0 if peak_mb <= limit_mb else 1
+    verdict = "ok" if peak_mb <= LIMIT_MB else "above the limit"
+    print(f"peak RSS of the child {peak_mb:.1f} MB, limit {LIMIT_MB:.0f} MB: {verdict}")
+    return 0 if peak_mb <= LIMIT_MB else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

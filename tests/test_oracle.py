@@ -144,6 +144,18 @@ class TestMonteCarlo:
         std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
         assert abs(est.std_error - std_error) <= 0.5e-15 * std_error + 2 * math.ulp(std_error)
 
+    @pytest.mark.parametrize("seed", [42, 20161121])
+    def test_many_chunk_sums_add_up_to_the_exact_mean(self, monkeypatch, seed):
+        # 2^14 chunks of 16 samples stand in for the 763 chunks of 5e7 samples,
+        # where adding the chunk sums without compensation drifts by up to 8 ulp;
+        # here it would drift by tens of ulp
+        monkeypatch.setattr(oracle, "MC_CHUNK", 16)
+        n = 1 << 18
+        vals = self.one_shot_values((2.0, 1.0), n, seed)
+        est = entropy_monte_carlo(HypoexpTwo.from_rates(2.0, 1.0), n, seed)
+        mean = math.fsum(vals.tolist()) / n
+        assert abs(est.estimate - mean) <= 4 * math.ulp(math.fsum(np.abs(vals).tolist()) / n)
+
     @staticmethod
     def traced_peak(n):
         d = HypoexpTwo.from_rates(2.0, 1.0)
