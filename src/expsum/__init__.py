@@ -16,8 +16,6 @@ from .dist import (
     sample_hypoexp,
 )
 from .entropy import (
-    EntropyNats,
-    LightGatedModel,
     cond_entropy_light,
     erlang2_entropy,
     exp_entropy,
@@ -40,10 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EULER_GAMMA",
     "ConvergenceError",
-    "EntropyNats",
     "EstimateWithError",
     "HypoexpTwo",
-    "LightGatedModel",
     "RatePair",
     "cond_entropy_light",
     "digamma",

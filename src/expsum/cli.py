@@ -109,15 +109,11 @@ def cmd_mi(args) -> int:
 
 
 def cmd_cond_entropy(args) -> int:
-    model = entropy_mod.LightGatedModel(
-        lambda_x=args.lambda_x,
-        lambda_w_on=args.lambda_w_on,
-        lambda_w_off=args.lambda_w_off,
-        p_on=args.p_on,
+    value = entropy_mod.cond_entropy_light(
+        args.lambda_x, args.lambda_w_on, args.lambda_w_off, args.p_on
     )
-    value = entropy_mod.cond_entropy_light(model)
-    branch_on = entropy_mod.hypoexp_entropy(RatePair(model.lambda_x, model.lambda_w_on))
-    branch_off = entropy_mod.hypoexp_entropy(RatePair(model.lambda_x, model.lambda_w_off))
+    branch_on = entropy_mod.hypoexp_entropy(RatePair(args.lambda_x, args.lambda_w_on))
+    branch_off = entropy_mod.hypoexp_entropy(RatePair(args.lambda_x, args.lambda_w_off))
     print(f"cond_entropy_nats {_fmt17(value)}")
     print(f"branch_on_nats {_fmt17(branch_on)}")
     print(f"branch_off_nats {_fmt17(branch_off)}")

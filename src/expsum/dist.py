@@ -20,11 +20,7 @@ that importing the package for its scalar closed forms does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy
+from collections import namedtuple
 
 
 def _require_rate(value: float, name: str) -> float:
@@ -50,8 +46,7 @@ def _ret(out, arr):
     return float(out) if arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class RatePair:
+class RatePair(namedtuple("RatePair", "lambda_hi lambda_lo")):
     """A validated pair of exponential rates, stored largest first.
 
     The distribution of a sum does not depend on the order of its
@@ -59,24 +54,21 @@ class RatePair:
     ``RatePair(2, 1)`` are equal and behave identically everywhere.
     """
 
-    lambda_hi: float
-    lambda_lo: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        hi = _require_rate(self.lambda_hi, "lambda_hi")
-        lo = _require_rate(self.lambda_lo, "lambda_lo")
+    def __new__(cls, lambda_hi: float, lambda_lo: float):
+        hi = _require_rate(lambda_hi, "lambda_hi")
+        lo = _require_rate(lambda_lo, "lambda_lo")
         if hi < lo:
             hi, lo = lo, hi
-        object.__setattr__(self, "lambda_hi", hi)
-        object.__setattr__(self, "lambda_lo", lo)
+        return super().__new__(cls, hi, lo)
 
 
-@dataclass(frozen=True)
-class HypoexpTwo:
+class HypoexpTwo(namedtuple("HypoexpTwo", "rates")):
     """Two-phase hypoexponential: the law of W + X for independent
     exponentials at the two rates in ``rates``; Erlang-2 when they are equal."""
 
-    rates: RatePair
+    __slots__ = ()
 
     @classmethod
     def from_rates(cls, rate_a: float, rate_b: float) -> "HypoexpTwo":

@@ -27,47 +27,13 @@ element by element and bit for bit; numpy is imported inside them only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dist import RatePair, _require_rate, _require_rates
 from .specfun import _SHIFT_THRESHOLD, EULER_GAMMA, _log_ratio, _near_one_tail, _series_tail
 from .specfun import digamma_minus_log, digamma_minus_log_array, log_each
 
-#: Differential entropies are plain floats measured in nats (natural log
-#: base); they may be negative.
-EntropyNats = float
 
-
-@dataclass(frozen=True)
-class LightGatedModel:
-    """Rates of a light-gated dwell-time model and the mixing probability.
-
-    ``lambda_x`` is the rate of the shared second phase; ``lambda_w_on``
-    and ``lambda_w_off`` are the first-phase rates with the gate on and
-    off; ``p_on`` is the probability the gate is on. No ordering among
-    the rates is required: the entropy of a sum is order-symmetric.
-    """
-
-    lambda_x: float
-    lambda_w_on: float
-    lambda_w_off: float
-    p_on: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_x", _require_rate(self.lambda_x, "lambda_x"))
-        object.__setattr__(
-            self, "lambda_w_on", _require_rate(self.lambda_w_on, "lambda_w_on")
-        )
-        object.__setattr__(
-            self, "lambda_w_off", _require_rate(self.lambda_w_off, "lambda_w_off")
-        )
-        p = float(self.p_on)
-        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"p_on must lie in [0, 1], got {self.p_on!r}")
-        object.__setattr__(self, "p_on", p)
-
-
-def exp_entropy(lam: float) -> EntropyNats:
+def exp_entropy(lam: float) -> float:
     """Entropy of an Exponential(lam) variable: 1 - ln(lam).
 
     This is the maximum entropy of any nonnegative random variable with
@@ -78,7 +44,7 @@ def exp_entropy(lam: float) -> EntropyNats:
     return 1.0 - math.log(lam)
 
 
-def erlang2_entropy(lam: float) -> EntropyNats:
+def erlang2_entropy(lam: float) -> float:
     """Entropy of an Erlang-2(lam) variable: 1 + gamma - ln(lam).
 
     Equivalent to 2 - psi(2) - ln(lam) via psi(2) = 1 - gamma.
@@ -98,7 +64,7 @@ def _tail(hi: float, lo: float) -> float:
     return _series_tail(w) if w * _SHIFT_THRESHOLD <= 1.0 else digamma_minus_log(hi / gap)
 
 
-def hypoexp_entropy(rates: RatePair) -> EntropyNats:
+def hypoexp_entropy(rates: RatePair) -> float:
     """Entropy of the sum of independent exponentials at the two rates.
 
     Evaluates 1 + gamma - ln(lambda_lo) + T(w), with
@@ -131,7 +97,7 @@ def hypoexp_entropy_array(rate_a, rate_b):
     return h
 
 
-def mutual_info_aen(signal_rate: float, noise_rate: float) -> EntropyNats:
+def mutual_info_aen(signal_rate: float, noise_rate: float) -> float:
     """Mutual information of the additive exponential noise timing channel.
 
     For input X ~ Exponential(signal_rate), noise W ~ Exponential(noise_rate)
@@ -164,16 +130,28 @@ def mutual_info_aen(signal_rate: float, noise_rate: float) -> EntropyNats:
     return EULER_GAMMA + _tail(hi, lo)
 
 
-def cond_entropy_light(model: LightGatedModel) -> EntropyNats:
-    """Dwell-time entropy conditioned on the gate state.
+def cond_entropy_light(
+    lambda_x: float, lambda_w_on: float, lambda_w_off: float, p_on: float
+) -> float:
+    """Dwell-time entropy of a light-gated model, conditioned on the gate state.
+
+    ``lambda_x`` is the rate of the shared second phase; ``lambda_w_on``
+    and ``lambda_w_off`` are the first-phase rates with the gate on and
+    off; ``p_on`` is the probability the gate is on. No ordering among
+    the rates is required: the entropy of a sum is order-symmetric.
 
     h(Y | L) = p_off * h(Y | off) + p_on * h(Y | on), where each branch is
     the sum entropy for (lambda_x, lambda_w_branch).
     """
-    p_on = model.p_on
-    h_on = hypoexp_entropy(RatePair(model.lambda_x, model.lambda_w_on))
-    h_off = hypoexp_entropy(RatePair(model.lambda_x, model.lambda_w_off))
-    return (1.0 - p_on) * h_off + p_on * h_on
+    lambda_x = _require_rate(lambda_x, "lambda_x")
+    lambda_w_on = _require_rate(lambda_w_on, "lambda_w_on")
+    lambda_w_off = _require_rate(lambda_w_off, "lambda_w_off")
+    p = float(p_on)
+    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"p_on must lie in [0, 1], got {p_on!r}")
+    h_on = hypoexp_entropy(RatePair(lambda_x, lambda_w_on))
+    h_off = hypoexp_entropy(RatePair(lambda_x, lambda_w_off))
+    return (1.0 - p) * h_off + p * h_on
 
 
 def mean_constrained_rates(lam: float) -> RatePair:

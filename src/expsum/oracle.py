@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import dist
 from .dist import HypoexpTwo, exponential_draws, hypoexp_log_pdf
@@ -35,13 +35,8 @@ class ConvergenceError(RuntimeError):
     """Raised when the subdivision budget runs out before reaching tolerance."""
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
-    """A Monte-Carlo estimate with its standard error and sample count."""
-
-    estimate: float
-    std_error: float
-    n_samples: int
+#: A Monte-Carlo estimate with its standard error and sample count.
+EstimateWithError = namedtuple("EstimateWithError", "estimate std_error n_samples")
 
 
 #: Panel splits the adaptive integrator may make before it gives up.
@@ -156,7 +151,9 @@ def _truncation_point(d: HypoexpTwo, abs_tol: float) -> float:
     Distinct rates, with c = lambda_hi lambda_lo / (lambda_hi - lambda_lo):
     f <= c exp(-lambda_lo y) and |ln f| <= |ln c| + lambda_hi y + 1 on the
     tail, giving
-        c exp(-lambda_lo u) (|ln c| + lambda_hi u + 1)(u + 2/lambda_lo).
+        c exp(-lambda_lo u) (|ln c| + lambda_hi u + 1)(u + 2/lambda_lo),
+    summed in logs, ln c = ln lambda_hi + ln lambda_lo - ln(lambda_hi - lambda_lo),
+    as c itself under- or overflows at rates like (2e-300, 1e-300), (2e200, 1e200).
     Each bound also dominates the plain density tail, so the same
     truncation point serves the normalization integral.
     """
@@ -171,10 +168,11 @@ def _truncation_point(d: HypoexpTwo, abs_tol: float) -> float:
 
         u = max(20.0 / lam, 1.0)  # the Erlang-2 bound needs u >= 1
     else:
-        c = hi * lo / (hi - lo)
+        log_c = math.log(hi) + math.log(lo) - math.log(hi - lo)
 
         def tail_bound(u):
-            return c * math.exp(-lo * u) * (abs(math.log(c)) + hi * u + 1.0) * (u + 2.0 / lo)
+            log_bound = log_c - lo * u + math.log(abs(log_c) + hi * u + 1.0)
+            return math.exp(log_bound + math.log(u + 2.0 / lo))
 
         u = 20.0 / lo
     for _ in range(200):

@@ -14,7 +14,6 @@ from conftest import record_acceptance
 from expsum.cli import main
 from expsum.dist import HypoexpTwo, RatePair
 from expsum.entropy import (
-    LightGatedModel,
     cond_entropy_light,
     erlang2_entropy,
     hypoexp_entropy,
@@ -118,8 +117,7 @@ def test_criterion_05_mutual_information():
 
 
 def test_criterion_06_conditional_entropy_mixture():
-    model = LightGatedModel(lambda_x=1.0, lambda_w_on=2.0, lambda_w_off=0.5, p_on=0.5)
-    value = cond_entropy_light(model)
+    value = cond_entropy_light(lambda_x=1.0, lambda_w_on=2.0, lambda_w_off=0.5, p_on=0.5)
     quad_mix = 0.5 * entropy_quadrature(HypoexpTwo.from_rates(1.0, 2.0)) + (
         0.5 * entropy_quadrature(HypoexpTwo.from_rates(1.0, 0.5))
     )

@@ -40,6 +40,18 @@ class TestRatePair:
         with pytest.raises(ValueError):
             RatePair(1.0, bad)
 
+    def test_immutable_named_tuple(self):
+        pair = RatePair(1, 2)
+        assert repr(pair) == "RatePair(lambda_hi=2.0, lambda_lo=1.0)"
+        with pytest.raises(AttributeError):
+            pair.lambda_hi = 3.0
+        assert hash(pair) == hash(RatePair(2.0, 1.0))
+        hi, lo = pair
+        assert (hi, lo) == pair == (2.0, 1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be a positive finite rate"):
+                RatePair(bad, 1.0)
+
 
 class TestHypoexpTwo:
     def test_order_invariant_construction(self):

@@ -8,7 +8,6 @@ import pytest
 from conftest import mp_entropy
 from expsum.dist import RatePair
 from expsum.entropy import (
-    LightGatedModel,
     cond_entropy_light,
     erlang2_entropy,
     exp_entropy,
@@ -222,36 +221,35 @@ class TestMutualInfo:
 
 class TestCondEntropyLight:
     def test_degenerate_mixture_equals_single_branch(self):
-        model = LightGatedModel(lambda_x=1.0, lambda_w_on=2.0, lambda_w_off=9.0, p_on=1.0)
-        assert cond_entropy_light(model) == hypoexp_entropy(RatePair(1.0, 2.0))
+        value = cond_entropy_light(lambda_x=1.0, lambda_w_on=2.0, lambda_w_off=9.0, p_on=1.0)
+        assert value == hypoexp_entropy(RatePair(1.0, 2.0))
 
     def test_all_off_branch(self):
-        model = LightGatedModel(lambda_x=1.0, lambda_w_on=3.0, lambda_w_off=0.5, p_on=0.0)
-        assert abs(cond_entropy_light(model) - 2.0) < 1e-12
+        value = cond_entropy_light(lambda_x=1.0, lambda_w_on=3.0, lambda_w_off=0.5, p_on=0.0)
+        assert abs(value - 2.0) < 1e-12
 
     def test_even_mixture(self):
-        model = LightGatedModel(lambda_x=1.0, lambda_w_on=2.0, lambda_w_off=0.5, p_on=0.5)
+        value = cond_entropy_light(lambda_x=1.0, lambda_w_on=2.0, lambda_w_off=0.5, p_on=0.5)
         expected = 2.0 - math.log(2.0) / 2.0
-        assert abs(cond_entropy_light(model) - expected) < 1e-12
+        assert abs(value - expected) < 1e-12
 
     def test_mixture_between_branch_entropies(self):
         b_on = hypoexp_entropy(RatePair(0.7, 2.5))
         b_off = hypoexp_entropy(RatePair(0.7, 0.3))
         for p in np.linspace(0.0, 1.0, 11):
-            model = LightGatedModel(0.7, 2.5, 0.3, float(p))
-            value = cond_entropy_light(model)
+            value = cond_entropy_light(0.7, 2.5, 0.3, float(p))
             assert min(b_on, b_off) - 1e-14 <= value <= max(b_on, b_off) + 1e-14
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_rejects_bad_probability(self, p):
         with pytest.raises(ValueError):
-            LightGatedModel(1.0, 2.0, 0.5, p)
+            cond_entropy_light(1.0, 2.0, 0.5, p)
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
-            LightGatedModel(-1.0, 2.0, 0.5, 0.5)
+            cond_entropy_light(-1.0, 2.0, 0.5, 0.5)
         with pytest.raises(ValueError):
-            LightGatedModel(1.0, 0.0, 0.5, 0.5)
+            cond_entropy_light(1.0, 0.0, 0.5, 0.5)
 
 
 class TestMeanConstrainedRates:
