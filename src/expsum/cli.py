@@ -158,10 +158,10 @@ def _fig2_columns(grid_points: int):
     """
     import numpy as np
 
-    lam = np.array(sorted({*np.geomspace(1.01, 100.0, grid_points).tolist(), 2.0}))
-    hi, lo = entropy_mod.mean_constrained_rates_array(lam)
+    lam = sorted({*np.geomspace(1.01, 100.0, grid_points).tolist(), 2.0})
+    hi, lo = zip(*map(entropy_mod.mean_constrained_rates, lam))
     h = entropy_mod.hypoexp_entropy_array(hi, lo)
-    n = lam.size
+    n = len(lam)
     header = [
         "lambda",
         "lambda_x",
@@ -171,9 +171,9 @@ def _fig2_columns(grid_points: int):
         "reference_erlang2",
     ]
     columns = [
-        lam.tolist(),
-        lo.tolist(),
-        hi.tolist(),
+        lam,
+        list(lo),
+        list(hi),
         h.tolist(),
         [entropy_mod.exp_entropy(1.0)] * n,
         [entropy_mod.erlang2_entropy(2.0)] * n,

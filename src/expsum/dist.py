@@ -63,6 +63,11 @@ class RatePair(namedtuple("RatePair", "lambda_hi lambda_lo")):
             hi, lo = lo, hi
         return super().__new__(cls, hi, lo)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through ``__new__``, so ``_make`` and ``_replace`` check the rates."""
+        return cls(*iterable)
+
 
 class HypoexpTwo(namedtuple("HypoexpTwo", "rates")):
     """Two-phase hypoexponential: the law of W + X for independent

@@ -20,8 +20,8 @@ recurrence at r above that. T(0) is exactly zero, so equal rates give the
 Erlang-2 entropy 1 + gamma - ln(lambda) with no separate branch, and
 nearly equal ones approach it continuously.
 
-The ``_array`` forms evaluate their scalar namesakes over numpy arrays,
-element by element and bit for bit; numpy is imported inside them only.
+``hypoexp_entropy_array`` evaluates its scalar namesake over numpy arrays,
+element by element and bit for bit; numpy is imported inside it only.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 
 from .dist import RatePair, _require_rate, _require_rates
 from .specfun import _SHIFT_THRESHOLD, EULER_GAMMA, _log_ratio, _near_one_tail, _series_tail
-from .specfun import digamma_minus_log, digamma_minus_log_array, log_each
+from .specfun import _digamma_minus_log_array, digamma_minus_log, log_each
 
 
 def exp_entropy(lam: float) -> float:
@@ -91,7 +91,7 @@ def hypoexp_entropy_array(rate_a, rate_b):
     w = gap / hi
     tail = _series_tail(w)
     rec = w * _SHIFT_THRESHOLD > 1.0
-    tail[rec] = digamma_minus_log_array(hi[rec] / gap[rec])
+    tail[rec] = _digamma_minus_log_array(hi[rec] / gap[rec])  # r >= 1
     h = 1.0 + EULER_GAMMA - log_each(lo)
     h += tail
     return h
@@ -166,16 +166,3 @@ def mean_constrained_rates(lam: float) -> RatePair:
     if not math.isfinite(lam) or lam <= 1.0:
         raise ValueError(f"lam must be finite and greater than 1, got {lam!r}")
     return RatePair(lam, lam / (lam - 1.0))
-
-
-def mean_constrained_rates_array(lam):
-    """``mean_constrained_rates`` of each element: (lambda_hi, lambda_lo)
-    arrays, checked and ordered as the scalar form does."""
-    import numpy as np
-
-    lam = np.asarray(lam, dtype=float)
-    bad = ~(np.isfinite(lam) & (lam > 1.0))
-    if bad.any():
-        mean_constrained_rates(lam[bad][0])  # raises the scalar form's error
-    other = lam / (lam - 1.0)
-    return np.maximum(lam, other), np.minimum(lam, other)

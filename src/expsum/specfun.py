@@ -17,8 +17,8 @@ w = 0 the series is exactly zero. Against mpmath at 40 digits the
 truncation error is largest where the series starts, at x = 10, where it
 is 4.2e-17.
 
-The ``_array`` form evaluates the same steps over a numpy array, bit for
-bit; numpy is imported inside it only.
+``_digamma_minus_log_array`` takes the same steps over a numpy array of
+arguments x >= 1, bit for bit; numpy is imported inside it only.
 """
 
 from __future__ import annotations
@@ -102,6 +102,16 @@ def _near_one_tail(e: float) -> float:
     return e * s
 
 
+def _shift(x: float):
+    """(acc, y) with psi(x) = acc + psi(y) and y >= the shift threshold, by
+    the recurrence psi(x) = psi(x + 1) - 1/x; (0.0, x) from the threshold on."""
+    acc = 0.0
+    while x < _SHIFT_THRESHOLD:
+        acc -= 1.0 / x
+        x += 1.0
+    return acc, x
+
+
 def digamma(x: float) -> float:
     """Digamma function psi(x) = d/dx ln Gamma(x) for x > 0.
 
@@ -109,18 +119,14 @@ def digamma(x: float) -> float:
 
     Raises ValueError for nonpositive, NaN, or infinite arguments.
     """
-    x = _require_positive(x, "x")
-    acc = 0.0
-    while x < _SHIFT_THRESHOLD:
-        acc -= 1.0 / x
-        x += 1.0
-    return acc + math.log(x) + _series_tail(1.0 / x)
+    acc, y = _shift(_require_positive(x, "x"))
+    return acc + math.log(y) + _series_tail(1.0 / y)
 
 
 def digamma_minus_log(x: float) -> float:
     """psi(x) - ln(x), computed without catastrophic cancellation.
 
-    For x at or above the shift threshold the value comes straight from
+    For x at or above the shift threshold the value is exactly
     ``_series_tail(1/x)`` = -1/(2x) - 1/(12x^2) + ..., so the tiny difference
     is never formed by subtracting two near-equal numbers; relative error
     of the returned difference stays below 1e-10 however large x gets.
@@ -128,13 +134,7 @@ def digamma_minus_log(x: float) -> float:
     path is used with the log folded in analytically.
     """
     x = _require_positive(x, "x")
-    if x >= _SHIFT_THRESHOLD:
-        return _series_tail(1.0 / x)
-    acc = 0.0
-    y = x
-    while y < _SHIFT_THRESHOLD:
-        acc -= 1.0 / y
-        y += 1.0
+    acc, y = _shift(x)
     # psi(x) - ln x = psi(y) - sum 1/(x+k) - ln x, and psi(y) = ln y + tail(y)
     return acc + _log_ratio(y, x) + _series_tail(1.0 / y)
 
@@ -163,36 +163,18 @@ def log_each(x):
     return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
 
 
-def digamma_minus_log_array(x):
-    """``digamma_minus_log`` of every element of ``x``, bit for bit.
-
-    Each element goes through the scalar function's IEEE operations in the
-    same order: the asymptotic tail at or above the shift threshold, and
-    below it the recurrence steps, masked so that each element stops where
-    its scalar loop would (at most 9 steps for x > 1), with ln(y/x) taken
-    by ``math.log``. Raises ValueError like the scalar form.
-    """
+def _digamma_minus_log_array(x):
+    """``digamma_minus_log`` of each element of the float array x >= 1, bit
+    for bit: each step adds 1.0 to the elements below the shift threshold
+    and 0.0, which changes nothing, to the rest, so each element stops
+    where its scalar loop would. y/x <= 10 cannot overflow."""
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
-    bad = ~(np.isfinite(x) & (x > 0.0))
-    if bad.any():
-        _require_positive(x[bad][0], "x")
-    out = np.empty_like(x)
-    high = x >= _SHIFT_THRESHOLD
-    out[high] = _series_tail(1.0 / x[high])
-    low = ~high
-    y = x[low]
-    acc = np.zeros_like(y)
+    acc = np.zeros_like(x)
+    y = x.copy()
     step = y < _SHIFT_THRESHOLD
-    with np.errstate(over="ignore"):  # 1/y and y/x overflow as in the scalar form
-        while step.any():
-            acc[step] -= 1.0 / y[step]
-            y[step] += 1.0
-            step = y < _SHIFT_THRESHOLD
-        ratio = y / x[low]
-    log_ratio = log_each(ratio)
-    over = ratio == np.inf
-    log_ratio[over] = list(map(_log_ratio, y[over].tolist(), x[low][over].tolist()))
-    out[low] = acc + log_ratio + _series_tail(1.0 / y)
-    return out
+    while step.any():
+        acc -= step / y
+        y += step
+        step = y < _SHIFT_THRESHOLD
+    return acc + log_each(y / x) + _series_tail(1.0 / y)

@@ -52,6 +52,21 @@ class TestRatePair:
             with pytest.raises(ValueError, match="must be a positive finite rate"):
                 RatePair(bad, 1.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_make_and_replace_validate(self, bad):
+        replaced = RatePair(1.0, 2.0)._replace(lambda_lo=5.0)
+        assert replaced == RatePair(5.0, 2.0) and replaced.lambda_hi == 5.0
+        with pytest.raises(ValueError) as constructor:
+            RatePair(bad, 2.0)
+        with pytest.raises(ValueError) as made:
+            RatePair._make([bad, 2.0])
+        assert str(made.value) == str(constructor.value)
+        with pytest.raises(ValueError) as constructor:
+            RatePair(2.0, bad)
+        with pytest.raises(ValueError) as replaced_bad:
+            RatePair(1.0, 2.0)._replace(lambda_lo=bad)
+        assert str(replaced_bad.value) == str(constructor.value)
+
 
 class TestHypoexpTwo:
     def test_order_invariant_construction(self):

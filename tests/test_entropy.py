@@ -14,7 +14,6 @@ from expsum.entropy import (
     hypoexp_entropy,
     hypoexp_entropy_array,
     mean_constrained_rates,
-    mean_constrained_rates_array,
     mutual_info_aen,
 )
 from expsum.specfun import EULER_GAMMA, digamma
@@ -291,6 +290,9 @@ def array_sweep():
         (1.0, 1.0 - 1e-6), (1.0, 1.0 - 1e-9), (5e-324, 5e-324), (1.0, 5e-324),
         (1.7976931348623157e308, 1.7976931348623157e308), (1.7e308, 5e-324),
     ]
+    for k in range(2, 10):  # r = k, where the recurrence's step count changes
+        pairs += [(k, k - 1.0), (k, np.nextafter(k - 1.0, 0.0)), (k, np.nextafter(k - 1.0, k))]
+    pairs.append((2.0, 1.0 - 2.0**-52))  # r just below 2; at k = 2 the line above rounds to 2
     pairs += [(6.0 * s, 5.0 * s) for s in scales]
     pairs += [(6.0 * s, below_six * s) for s in scales]
     pairs += [(10.0 * s, 9.0 * s) for s in scales]
@@ -330,8 +332,8 @@ class TestHypoexpEntropyArray:
         assert hypoexp_entropy_array(rates, rates).tolist() == expected
 
     def test_contact_point_is_erlang2(self):
-        hi, lo = mean_constrained_rates_array(np.array([2.0]))
-        assert hypoexp_entropy_array(hi, lo).tolist() == [erlang2_entropy(2.0)]
+        hi, lo = mean_constrained_rates(2.0)
+        assert hypoexp_entropy_array([hi], [lo]).tolist() == [erlang2_entropy(2.0)]
 
     @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
     def test_rejects_what_rate_pair_rejects(self, bad):
@@ -347,19 +349,3 @@ class TestHypoexpEntropyArray:
         array = hypoexp_entropy_array(np.array([1.7e308]), np.array([1.7e308]))
         assert array.tolist() == [expected]
 
-
-class TestMeanConstrainedRatesArray:
-    def test_equal_to_scalar(self):
-        lam = np.append(np.geomspace(1.0 + 2.0**-52, 1e6, 500), 2.0)
-        pairs = [mean_constrained_rates(x) for x in lam.tolist()]
-        hi, lo = mean_constrained_rates_array(lam)
-        assert hi.tolist() == [p.lambda_hi for p in pairs]
-        assert lo.tolist() == [p.lambda_lo for p in pairs]
-
-    @pytest.mark.parametrize("bad", [1.0, 0.5, -3.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError) as scalar:
-            mean_constrained_rates(bad)
-        with pytest.raises(ValueError) as array:
-            mean_constrained_rates_array(np.array([3.0, bad]))
-        assert str(array.value) == str(scalar.value)

@@ -7,11 +7,14 @@ import pytest
 
 from expsum.specfun import (
     EULER_GAMMA,
+    _digamma_minus_log_array,
+    _series_tail,
     digamma,
     digamma_minus_log,
-    digamma_minus_log_array,
     log_each,
 )
+
+DBL_MAX = 1.7976931348623157e308
 
 
 def psi_integer_oracle(n: int) -> float:
@@ -120,7 +123,13 @@ class TestDigammaMinusLog:
     def test_below_minus_dbl_max_is_minus_inf(self, x):
         # psi(x) - ln x is about -1/x, which no double holds
         assert digamma_minus_log(x) == -math.inf
-        assert digamma_minus_log_array(np.array([x])).tolist() == [-math.inf]
+
+    def test_series_alone_from_the_threshold(self):
+        # from x = 10 the recurrence takes no step: 0.0 + ln(x/x) + tail
+        # must carry exactly the bits of the tail itself
+        rng = np.random.default_rng(10)
+        x = [10.0, math.nextafter(10.0, 11.0), *(10.0 ** rng.uniform(1, 300, 5000)).tolist()]
+        assert [digamma_minus_log(v) for v in x] == [_series_tail(1.0 / v) for v in x]
 
     @pytest.mark.parametrize(
         "x", [3.4e-308, 3e-308, 1e-308, 5.6e-309, 1e-300, 1e-3, 0.5, 1.0, 5.9, 6.0, 10.0, 1e8]
@@ -134,17 +143,22 @@ class TestDigammaMinusLog:
 
 class TestArrayForms:
     def test_digamma_minus_log_array_bit_equal(self):
+        # on its domain x >= 1: each integer k, where the step count
+        # changes, its ulp neighbours, and seeded values up to 1e3
         rng = np.random.default_rng(7)
-        edges = [6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0), 1.0,
-                 np.nextafter(1.0, 2.0), 5.0, 2.5, 1e-3, 1e-300, 1e12, 1e150,
-                 3.4e-308, 3e-308, 1e-308, 5.6e-309, 5.5e-309, 1e-310, 5e-324]
-        x = np.concatenate((edges, 10.0 ** rng.uniform(-3, 15, 5000), rng.uniform(1, 7, 5000)))
-        assert digamma_minus_log_array(x).tolist() == list(map(digamma_minus_log, x.tolist()))
+        k = np.arange(1.0, 11.0)
+        edges = np.concatenate((k, np.nextafter(k[1:], 0.0), np.nextafter(k, 11.0)))
+        x = np.concatenate((edges, rng.uniform(1, 1e3, 5000), rng.uniform(1, 10, 5000)))
+        assert _digamma_minus_log_array(x).tolist() == list(map(digamma_minus_log, x.tolist()))
 
-    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
-    def test_digamma_minus_log_array_domain(self, bad):
-        with pytest.raises(ValueError):
-            digamma_minus_log_array(np.array([2.0, bad]))
+    @pytest.mark.parametrize(
+        "x", [1.0, math.nextafter(1.0, 2.0), math.nextafter(10.0, 0.0), 10.0, 1e300, DBL_MAX]
+    )
+    def test_digamma_minus_log_array_at_domain_edges(self, x):
+        # nothing overflows, divides by zero or turns invalid from x = 1 up
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = _digamma_minus_log_array(np.array([x]))
+        assert value.tolist() == [digamma_minus_log(x)]
 
     def test_log_each_is_math_log(self):
         x = np.geomspace(0.01, 2.0, 2000)
