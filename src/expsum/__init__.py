@@ -7,7 +7,6 @@ and Monte-Carlo oracles and a CLI that reproduces the figure data sets.
 """
 
 from .dist import (
-    HypoexpTwo,
     RatePair,
     hypoexp_cdf,
     hypoexp_log_pdf,
@@ -39,7 +38,6 @@ __all__ = [
     "EULER_GAMMA",
     "ConvergenceError",
     "EstimateWithError",
-    "HypoexpTwo",
     "RatePair",
     "cond_entropy_light",
     "digamma",

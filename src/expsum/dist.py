@@ -1,8 +1,8 @@
 """The two-phase hypoexponential distribution of a sum of two exponentials.
 
-The central object is ``HypoexpTwo``, the distribution of Y = W + X for
-independent exponentials W and X. With lambda_hi >= lambda_lo the ordered
-rates and gap = lambda_hi - lambda_lo, its density is
+Every function here takes the law of Y = W + X, for independent
+exponentials W and X, as the ``RatePair`` of their rates. With ordered
+rates lambda_hi >= lambda_lo and gap = lambda_hi - lambda_lo, the density is
 
     f(y) = lambda_hi * lambda_lo * exp(-lambda_lo * y) * E(gap, y),   y >= 0,
 
@@ -28,17 +28,6 @@ def _require_rate(value: float, name: str) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite rate, got {value!r}")
     return value
-
-
-def _require_rates(values, name: str):
-    """``values`` as a float array, each element checked by ``_require_rate``."""
-    import numpy as np
-
-    values = np.asarray(values, dtype=float)
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if bad.any():
-        _require_rate(values[bad][0], name)
-    return values
 
 
 def _ret(out, arr):
@@ -69,15 +58,11 @@ class RatePair(namedtuple("RatePair", "lambda_hi lambda_lo")):
         return cls(*iterable)
 
 
-class HypoexpTwo(namedtuple("HypoexpTwo", "rates")):
-    """Two-phase hypoexponential: the law of W + X for independent
-    exponentials at the two rates in ``rates``; Erlang-2 when they are equal."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_rates(cls, rate_a: float, rate_b: float) -> "HypoexpTwo":
-        return cls(RatePair(rate_a, rate_b))
+def HypoexpTwo(rates: RatePair) -> RatePair:
+    """Return ``rates``; not exported. ``benchmarks/workloads.py`` and
+    ``benchmarks/setup_probe.py`` call ``HypoexpTwo(RatePair(hi, lo))`` and change
+    only in benchmark-only commits; delete this once they call ``RatePair``."""
+    return rates
 
 
 def _gap_integral(rates: RatePair, y):
@@ -89,22 +74,25 @@ def _gap_integral(rates: RatePair, y):
     return y if gap == 0.0 else np.expm1(-gap * y) / -gap
 
 
-def hypoexp_pdf(d: HypoexpTwo, y):
-    """Density of ``d`` at ``y`` (scalar or array); 0 for y < 0.
+def hypoexp_pdf(rates: RatePair, y):
+    """Density of the sum at ``y`` (scalar or array); 0 for y < 0.
 
     lambda_hi * (lambda_lo E e^(-lambda_lo y)): the bracket is at most
     1/e, so no intermediate overflows, even for rates near DBL_MAX.
+    y is clipped to 746/lambda_lo, past which e^(-lambda_lo y) is 0: at equal
+    rates lambda_lo E = lambda_lo y may overflow there, and inf * 0 is nan.
+    Equal rates below about 4e-306 overflow the bound and give nan at y = +inf.
     """
     import numpy as np
 
-    r = d.rates
+    lo = rates.lambda_lo
     arr = np.asarray(y, dtype=float)
-    yc = np.maximum(arr, 0.0)
-    val = r.lambda_hi * (r.lambda_lo * _gap_integral(r, yc) * np.exp(-r.lambda_lo * yc))
+    yc = np.minimum(np.maximum(arr, 0.0), 746.0 / lo)
+    val = rates.lambda_hi * (lo * _gap_integral(rates, yc) * np.exp(-lo * yc))
     return _ret(np.where(arr < 0.0, 0.0, val), arr)
 
 
-def hypoexp_log_pdf(d: HypoexpTwo, y):
+def hypoexp_log_pdf(rates: RatePair, y):
     """Natural log of the density, stable far into both tails:
     ln lambda_hi + ln lambda_lo - lambda_lo y + ln E.
 
@@ -115,38 +103,36 @@ def hypoexp_log_pdf(d: HypoexpTwo, y):
     """
     import numpy as np
 
-    r = d.rates
     arr = np.asarray(y, dtype=float)
     yc = np.maximum(arr, 5e-324)  # moves only y <= 0, which is -inf below
     with np.errstate(divide="ignore"):
-        log_e = np.log(_gap_integral(r, yc))
-    val = math.log(r.lambda_hi) + math.log(r.lambda_lo) - r.lambda_lo * yc
+        log_e = np.log(_gap_integral(rates, yc))
+    val = math.log(rates.lambda_hi) + math.log(rates.lambda_lo) - rates.lambda_lo * yc
     val += log_e
     return _ret(np.where(arr <= 0.0, -np.inf, val), arr)
 
 
-def hypoexp_cdf(d: HypoexpTwo, y):
-    """Cumulative distribution of ``d`` at ``y``; 0 for y < 0, -> 1 as y grows.
+def hypoexp_cdf(rates: RatePair, y):
+    """Cumulative distribution of the sum at ``y``; 0 for y < 0, -> 1 as y grows.
 
     1 - e^(-lambda_lo y) (1 + lambda_lo E), arranged as
     -expm1(-lambda_lo y) - lambda_lo E e^(-lambda_lo y), whose error near
-    y = 0 shrinks with y instead of staying at one ulp of 1.
+    y = 0 shrinks with y instead of staying at one ulp of 1. y is clipped
+    as in ``hypoexp_pdf``.
     """
     import numpy as np
 
-    r = d.rates
     arr = np.asarray(y, dtype=float)
-    yc = np.maximum(arr, 0.0)
-    t = r.lambda_lo * yc
-    val = -np.expm1(-t) - r.lambda_lo * _gap_integral(r, yc) * np.exp(-t)
+    yc = np.minimum(np.maximum(arr, 0.0), 746.0 / rates.lambda_lo)
+    t = rates.lambda_lo * yc
+    val = -np.expm1(-t) - rates.lambda_lo * _gap_integral(rates, yc) * np.exp(-t)
     val = np.clip(val, 0.0, 1.0)
     return _ret(np.where(arr < 0.0, 0.0, val), arr)
 
 
-def hypoexp_mean(d: HypoexpTwo) -> float:
+def hypoexp_mean(rates: RatePair) -> float:
     """E[Y] = 1/lambda_hi + 1/lambda_lo, by linearity of expectation."""
-    r = d.rates
-    return 1.0 / r.lambda_hi + 1.0 / r.lambda_lo
+    return 1.0 / rates.lambda_hi + 1.0 / rates.lambda_lo
 
 
 def exponential_draws(rng: numpy.random.Generator, n: int, rate: float):
@@ -157,7 +143,7 @@ def exponential_draws(rng: numpy.random.Generator, n: int, rate: float):
     return -np.log1p(-rng.random(n)) / rate
 
 
-def sample_hypoexp(d: HypoexpTwo, rng: numpy.random.Generator, size: int | None = None):
+def sample_hypoexp(rates: RatePair, rng: numpy.random.Generator, size: int | None = None):
     """Draw Y = W + X by inverse-CDF sampling of the two exponentials.
 
     Each exponential draw is -log(1 - U)/rate with U uniform on [0, 1);
@@ -170,9 +156,8 @@ def sample_hypoexp(d: HypoexpTwo, rng: numpy.random.Generator, size: int | None 
 
     Returns a scalar when ``size`` is None, else an array of length ``size``.
     """
-    r = d.rates
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError(f"size must be at least 1, got {size!r}")
-    y = exponential_draws(rng, n, r.lambda_hi) + exponential_draws(rng, n, r.lambda_lo)
+    y = exponential_draws(rng, n, rates.lambda_hi) + exponential_draws(rng, n, rates.lambda_lo)
     return float(y[0]) if size is None else y

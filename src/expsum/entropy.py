@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .dist import RatePair, _require_rate, _require_rates
+from .dist import RatePair, _require_rate
 from .specfun import _SHIFT_THRESHOLD, EULER_GAMMA, _log_ratio, _near_one_tail, _series_tail
 from .specfun import _digamma_minus_log_array, digamma_minus_log, log_each
 
@@ -75,18 +75,17 @@ def hypoexp_entropy(rates: RatePair) -> float:
     return 1.0 + EULER_GAMMA - math.log(lo) + _tail(hi, lo)
 
 
-def hypoexp_entropy_array(rate_a, rate_b):
-    """``hypoexp_entropy(RatePair(a, b))`` for each pair of elements.
+def hypoexp_entropy_array(hi, lo):
+    """``hypoexp_entropy(RatePair(hi, lo))`` for each pair of elements.
 
-    The rates are checked and ordered as ``RatePair`` does, and T(w) takes
-    the series or the recurrence as ``_tail`` does, so every element equals
-    the scalar value bit for bit.
+    The arrays must hold what a ``RatePair`` holds, valid rates with hi >= lo;
+    they are not checked or reordered. T(w) takes the series or the recurrence
+    as ``_tail`` does, so every element equals the scalar value bit for bit.
     """
     import numpy as np
 
-    a = _require_rates(rate_a, "lambda_hi")
-    b = _require_rates(rate_b, "lambda_lo")
-    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    hi = np.asarray(hi, dtype=float)
+    lo = np.asarray(lo, dtype=float)
     gap = hi - lo
     w = gap / hi
     tail = _series_tail(w)

@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 
 from . import dist
-from .dist import HypoexpTwo, exponential_draws, hypoexp_log_pdf
+from .dist import RatePair, exponential_draws, hypoexp_log_pdf
 from .specfun import _require_positive
 
 
@@ -140,7 +140,7 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
     return math.fsum(panel[4] for panel in heap)
 
 
-def _truncation_point(d: HypoexpTwo, abs_tol: float) -> float:
+def _truncation_point(rates: RatePair, abs_tol: float) -> float:
     """Smallest doubling of 20/lambda_slow whose tail bound is < abs_tol/10.
 
     The bound is on the mass of |f ln f| (and of f) beyond u.
@@ -157,7 +157,7 @@ def _truncation_point(d: HypoexpTwo, abs_tol: float) -> float:
     Each bound also dominates the plain density tail, so the same
     truncation point serves the normalization integral.
     """
-    hi, lo = d.rates.lambda_hi, d.rates.lambda_lo
+    hi, lo = rates
     if hi == lo:
         lam = hi
 
@@ -182,11 +182,11 @@ def _truncation_point(d: HypoexpTwo, abs_tol: float) -> float:
     raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
 
 
-def _neg_f_log_f(d: HypoexpTwo):
+def _neg_f_log_f(rates: RatePair):
     import numpy as np
 
     def integrand(y):
-        f = np.asarray(dist.hypoexp_pdf(d, y), dtype=float)
+        f = np.asarray(dist.hypoexp_pdf(rates, y), dtype=float)
         out = np.zeros_like(f)
         mask = f > 0.0
         out[mask] = -f[mask] * np.log(f[mask])
@@ -195,8 +195,8 @@ def _neg_f_log_f(d: HypoexpTwo):
     return integrand
 
 
-def entropy_quadrature(d: HypoexpTwo, *, abs_tol: float = 1e-10) -> float:
-    """Differential entropy -int f ln f by adaptive quadrature.
+def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
+    """Differential entropy -int f ln f of the sum at ``rates``, by adaptive quadrature.
 
     The integration domain is [0, U] with U from the analytic tail bound,
     so truncation error stays below a tenth of ``abs_tol``; the 0 ln 0
@@ -204,28 +204,28 @@ def entropy_quadrature(d: HypoexpTwo, *, abs_tol: float = 1e-10) -> float:
     Raises ConvergenceError if the subdivision budget is exhausted.
     """
     abs_tol = _require_positive(abs_tol, "abs_tol")
-    u = _truncation_point(d, abs_tol)
-    return _adaptive(_neg_f_log_f(d), 0.0, u, abs_tol)
+    u = _truncation_point(rates, abs_tol)
+    return _adaptive(_neg_f_log_f(rates), 0.0, u, abs_tol)
 
 
-def normalization_quadrature(d: HypoexpTwo, *, abs_tol: float = 1e-10) -> float:
-    """int f over the same truncated domain; should be 1 for any density."""
+def normalization_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
+    """int f at ``rates`` over the same truncated domain; should be 1 for any density."""
     abs_tol = _require_positive(abs_tol, "abs_tol")
-    u = _truncation_point(d, abs_tol)
-    return _adaptive(lambda y: dist.hypoexp_pdf(d, y), 0.0, u, abs_tol)
+    u = _truncation_point(rates, abs_tol)
+    return _adaptive(lambda y: dist.hypoexp_pdf(rates, y), 0.0, u, abs_tol)
 
 
-def entropy_monte_carlo(d: HypoexpTwo, n: int, seed: int) -> EstimateWithError:
-    """Resubstitution entropy estimate from n seeded samples.
+def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError:
+    """Resubstitution entropy estimate of the sum at ``rates`` from n seeded samples.
 
     Draws Y_1..Y_n from the ``sample_hypoexp`` stream of
     ``default_rng(seed)`` (PCG64) and returns the sample mean of -ln f(Y_i)
     together with its standard error (sample standard deviation over
-    sqrt(n)). Bit-identical across runs with equal (d, n, seed).
+    sqrt(n)). Bit-identical across runs with equal (rates, n, seed).
 
     The samples are streamed in chunks of ``MC_CHUNK``: a second generator,
     advanced by n draws, supplies the lambda_lo block, so chunk i uses the
-    same uniforms as the one-shot ``sample_hypoexp(d, rng, n)``. Each chunk
+    same uniforms as the one-shot ``sample_hypoexp(rates, rng, n)``. Each chunk
     of -ln f values is reduced, in one reused buffer, to its sum and its sum
     of squared deviations M2; the sums are added with Neumaier's
     compensation and the M2 values merged with the pairwise update of Chan,
@@ -244,7 +244,6 @@ def entropy_monte_carlo(d: HypoexpTwo, n: int, seed: int) -> EstimateWithError:
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be at least 2 to form a standard error, got {n}")
-    r = d.rates
     rng_hi = np.random.default_rng(seed)
     rng_lo = np.random.default_rng(seed)
     rng_lo.bit_generator.advance(n)
@@ -252,16 +251,16 @@ def entropy_monte_carlo(d: HypoexpTwo, n: int, seed: int) -> EstimateWithError:
     total, carry, m2 = 0.0, 0.0, 0.0
     for start in range(0, n, MC_CHUNK):
         k = min(MC_CHUNK, n - start)
-        y = exponential_draws(rng_hi, k, r.lambda_hi)
-        y += exponential_draws(rng_lo, k, r.lambda_lo)
+        y = exponential_draws(rng_hi, k, rates.lambda_hi)
+        y += exponential_draws(rng_lo, k, rates.lambda_lo)
         vals = buf[:k]
-        np.negative(hypoexp_log_pdf(d, y), out=vals)
+        np.negative(hypoexp_log_pdf(rates, y), out=vals)
         chunk_sum = float(np.add.reduce(vals))
         if not math.isfinite(chunk_sum):
             bad = int(np.argmin(np.isfinite(vals)))
             raise FloatingPointError(
                 f"Monte-Carlo estimate is not finite: -ln f = {float(vals[bad])!r} at sample "
-                f"{start + bad} (rates {r.lambda_hi!r}, {r.lambda_lo!r}; n={n}, seed={seed})"
+                f"{start + bad} (rates {rates.lambda_hi!r}, {rates.lambda_lo!r}; n={n}, seed={seed})"
             )
         chunk_mean = chunk_sum / k
         vals -= chunk_mean

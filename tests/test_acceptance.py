@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import record_acceptance
 from expsum.cli import main
-from expsum.dist import HypoexpTwo, RatePair
+from expsum.dist import RatePair
 from expsum.entropy import (
     cond_entropy_light,
     erlang2_entropy,
@@ -40,8 +40,8 @@ def test_criterion_01_closed_form_agrees_with_quadrature():
         for b in GRID:
             if a == b:
                 continue
-            d = HypoexpTwo.from_rates(a, b)
-            dev = abs(entropy_quadrature(d) - hypoexp_entropy(d.rates))
+            d = RatePair(a, b)
+            dev = abs(entropy_quadrature(d) - hypoexp_entropy(d))
             worst = max(worst, dev)
     elapsed = time.perf_counter() - start
     check(
@@ -118,8 +118,8 @@ def test_criterion_05_mutual_information():
 
 def test_criterion_06_conditional_entropy_mixture():
     value = cond_entropy_light(lambda_x=1.0, lambda_w_on=2.0, lambda_w_off=0.5, p_on=0.5)
-    quad_mix = 0.5 * entropy_quadrature(HypoexpTwo.from_rates(1.0, 2.0)) + (
-        0.5 * entropy_quadrature(HypoexpTwo.from_rates(1.0, 0.5))
+    quad_mix = 0.5 * entropy_quadrature(RatePair(1.0, 2.0)) + (
+        0.5 * entropy_quadrature(RatePair(1.0, 0.5))
     )
     dev_quad = abs(value - quad_mix)
     dev_closed = abs(value - (2.0 - math.log(2.0) / 2.0))
@@ -150,8 +150,8 @@ def test_criterion_08_monte_carlo_bands():
     start = time.perf_counter()
     worst_z = 0.0
     for a, b in ((2.0, 1.0), (10.0, 0.3), (1.01, 1.0)):
-        d = HypoexpTwo.from_rates(a, b)
-        closed = hypoexp_entropy(d.rates)
+        d = RatePair(a, b)
+        closed = hypoexp_entropy(d)
         for seed in range(42, 47):
             est = entropy_monte_carlo(d, 10**5, seed)
             worst_z = max(worst_z, abs(est.estimate - closed) / est.std_error)
@@ -190,7 +190,7 @@ def test_criterion_10_determinism(tmp_path):
         byte_identical = byte_identical and (
             paths[0].read_bytes() == paths[1].read_bytes()
         )
-    d = HypoexpTwo.from_rates(2.0, 1.0)
+    d = RatePair(2.0, 1.0)
     mc_identical = entropy_monte_carlo(d, 50_000, 42) == entropy_monte_carlo(
         d, 50_000, 42
     )

@@ -537,6 +537,20 @@ print(loaded)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str([(False, False)] * 4)
 
+    @pytest.mark.parametrize("workload", ["point", "figures", "oracle", "mc"])
+    def test_benchmark_setup_probe_runs(self, tmp_path, workload):
+        # the benchmark changes only on its own and still calls dist.HypoexpTwo;
+        # this pins that the package keeps serving it until it calls RatePair
+        root = pathlib.Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "setup_probe.py"), workload,
+             str(tmp_path / "scratch")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) > 0.0
+
     def test_star_import_binds_all_names_eagerly(self):
         namespace = {}
         exec("from expsum import *", namespace)

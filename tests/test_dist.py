@@ -8,7 +8,6 @@ import pytest
 
 from conftest import mp_entropy
 from expsum.dist import (
-    HypoexpTwo,
     RatePair,
     hypoexp_cdf,
     hypoexp_log_pdf,
@@ -68,15 +67,10 @@ class TestRatePair:
         assert str(replaced_bad.value) == str(constructor.value)
 
 
-class TestHypoexpTwo:
-    def test_order_invariant_construction(self):
-        assert HypoexpTwo.from_rates(2.0, 1.0) == HypoexpTwo.from_rates(1.0, 2.0)
-
-
 def mp_density(mp, d, y):
     """pdf, cdf, log-pdf and ln E(gap, y) of ``d`` at ``y`` from mpmath, at
     the exact binary rates and point."""
-    hi, lo, y = mp.mpf(d.rates.lambda_hi), mp.mpf(d.rates.lambda_lo), mp.mpf(y)
+    hi, lo, y = mp.mpf(d.lambda_hi), mp.mpf(d.lambda_lo), mp.mpf(y)
     gap = hi - lo
     e = y if gap == 0 else -mp.expm1(-gap * y) / gap
     pdf = hi * lo * mp.exp(-lo * y) * e
@@ -87,7 +81,7 @@ def assert_density_matches_mpmath(mp, d, ys):
     """pdf to 1e-15 relative (times lambda_lo y, the condition number of
     exp(-lambda_lo y)), cdf to 1e-15 absolute, and log-pdf to 4 ulp of the
     largest of its terms ln lambda_hi, ln lambda_lo, lambda_lo y and ln E."""
-    hi, lo = d.rates.lambda_hi, d.rates.lambda_lo
+    hi, lo = d.lambda_hi, d.lambda_lo
     ys = np.asarray(ys, dtype=float)
     for y, pdf, cdf, log_pdf in zip(
         ys.tolist(),
@@ -109,7 +103,7 @@ class TestEqualRates:
 
     @pytest.mark.parametrize("lam", [1e-300, 0.3, 1.0, 2.0, 7.5, 1e300])
     def test_equal_rates_give_erlang2(self, lam):
-        d = HypoexpTwo.from_rates(lam, lam)
+        d = RatePair(lam, lam)
         ys = np.geomspace(1e-6, 40.0, 60) / lam
         t = lam * ys
         np.testing.assert_allclose(hypoexp_pdf(d, ys), lam * t * np.exp(-t), rtol=1e-15)
@@ -119,60 +113,68 @@ class TestEqualRates:
         np.testing.assert_allclose(
             hypoexp_log_pdf(d, ys), math.log(lam) + np.log(t) - t, rtol=1e-15, atol=1e-15
         )
-        assert hypoexp_entropy(d.rates) == erlang2_entropy(lam)
+        assert hypoexp_entropy(d) == erlang2_entropy(lam)
+
+    def test_far_tail_where_lambda_y_overflows(self):
+        # E = y at equal rates, so lambda E overflows here; unclipped, inf * 0 is nan
+        cases = [(2.0, 1e308), (1e10, 1e300), (1e300, 1e10), (1.0, math.inf)]
+        cases += [(lam, math.inf) for lam in np.geomspace(1e-300, 1e300, 61).tolist()]
+        for lam, y in cases:
+            d = RatePair(lam, lam)
+            assert hypoexp_pdf(d, y) == 0.0 and hypoexp_cdf(d, y) == 1.0, (lam, y)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
     def test_continuous_across_tiny_gaps(self, mp, lam, gap):
-        d = HypoexpTwo.from_rates(lam * (1.0 + gap), lam)
+        d = RatePair(lam * (1.0 + gap), lam)
         assert_density_matches_mpmath(mp, d, np.geomspace(1e-8, 40.0, 30) / lam)
-        exact = mp_entropy(mp, d.rates.lambda_hi, d.rates.lambda_lo)
-        assert abs(hypoexp_entropy(d.rates) - exact) <= 5e-15
+        exact = mp_entropy(mp, d.lambda_hi, d.lambda_lo)
+        assert abs(hypoexp_entropy(d) - exact) <= 5e-15
 
     def test_no_overflow_near_dbl_max(self, mp):
         pairs = [(DBL_MAX, DBL_MAX), (1.7e308, 1.7e308), (1.7e308, 1.7e308 * (1.0 - 1e-13)),
                  (9e307, 9e307), (1e200, 5e199), (1e200, 1e200 * (1.0 - 1e-10))]
         for a, b in pairs:
-            d = HypoexpTwo.from_rates(a, b)
+            d = RatePair(a, b)
             assert_density_matches_mpmath(mp, d, np.array([1e-3, 0.5, 1.0, 3.0, 20.0]) / b)
-            h = hypoexp_entropy(d.rates)
+            h = hypoexp_entropy(d)
             assert abs(h - mp_entropy(mp, a, b)) <= 4.0 * math.ulp(math.log(b))
 
 
 class TestPdf:
     def test_vanishes_at_zero(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         assert hypoexp_pdf(d, 0.0) == 0.0
 
     def test_value_at_log_two(self):
         # c = 2, f(ln 2) = 2 (1/2 - 1/4)
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         assert abs(hypoexp_pdf(d, math.log(2.0)) - 0.5) < 1e-15
 
     def test_zero_on_negative_axis(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         assert hypoexp_pdf(d, -1.0) == 0.0
         assert np.all(hypoexp_pdf(d, np.array([-5.0, -0.1])) == 0.0)
 
     def test_array_matches_scalars(self):
-        d = HypoexpTwo.from_rates(3.0, 0.7)
+        d = RatePair(3.0, 0.7)
         ys = np.linspace(-1.0, 8.0, 37)
         batch = hypoexp_pdf(d, ys)
         singles = np.array([hypoexp_pdf(d, float(y)) for y in ys])
         np.testing.assert_array_equal(batch, singles)
 
     def test_never_negative_near_origin(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         tiny = np.array([0.0, 1e-300, 1e-18, 1e-16, 1e-12])
         assert np.all(hypoexp_pdf(d, tiny) >= 0.0)
 
     def test_matches_mpmath_where_the_difference_form_cancelled(self, mp):
         # c (e^(-lo y) - e^(-hi y)) lost 2.2e-5, 1.0 and 3.9e-7 of the pdf here
         for hi, lo, y in ((2.0, 1.0, 1e-12), (1.0 + 1e-10, 1.0, 1e-8), (1.0 + 1e-10, 1.0, 1.0)):
-            assert_density_matches_mpmath(mp, HypoexpTwo.from_rates(hi, lo), [y])
+            assert_density_matches_mpmath(mp, RatePair(hi, lo), [y])
 
     def test_degenerate_is_erlang_density(self):
-        d = HypoexpTwo.from_rates(1.0, 1.0)
+        d = RatePair(1.0, 1.0)
         assert abs(hypoexp_pdf(d, 1.0) - math.exp(-1.0)) < 1e-15
         ys = np.linspace(0.0, 10.0, 50)
         np.testing.assert_allclose(hypoexp_pdf(d, ys), ys * np.exp(-ys), rtol=1e-14)
@@ -180,14 +182,14 @@ class TestPdf:
 
 class TestLogPdf:
     def test_matches_log_of_pdf(self):
-        for d in (HypoexpTwo.from_rates(2.0, 1.0), HypoexpTwo.from_rates(10.0, 0.3)):
+        for d in (RatePair(2.0, 1.0), RatePair(10.0, 0.3)):
             ys = np.geomspace(0.01, 50.0, 60)
             np.testing.assert_allclose(
                 np.exp(hypoexp_log_pdf(d, ys)), hypoexp_pdf(d, ys), rtol=1e-12
             )
 
     def test_degenerate_matches_log_of_pdf(self):
-        d = HypoexpTwo.from_rates(1.0, 1.0)
+        d = RatePair(1.0, 1.0)
         ys = np.geomspace(0.01, 40.0, 40)
         np.testing.assert_allclose(
             np.exp(hypoexp_log_pdf(d, ys)), hypoexp_pdf(d, ys), rtol=1e-12
@@ -199,66 +201,66 @@ class TestLogPdf:
             lo = 10.0 ** rng.uniform(-6, 6)
             hi = lo * (1.0 + 10.0 ** rng.uniform(-15, -3), 10.0 ** rng.uniform(0, 6), 1.0)[kind % 3]
             ys = 10.0 ** rng.uniform(-12, 1.7, 20) / lo
-            assert_density_matches_mpmath(mp, HypoexpTwo.from_rates(hi, lo), ys)
+            assert_density_matches_mpmath(mp, RatePair(hi, lo), ys)
 
     def test_minus_inf_outside_support(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         assert hypoexp_log_pdf(d, 0.0) == -math.inf
         assert hypoexp_log_pdf(d, -3.0) == -math.inf
 
 
 class TestCdf:
     def test_zero_at_origin_and_below(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         assert hypoexp_cdf(d, 0.0) == 0.0
         assert hypoexp_cdf(d, -0.5) == 0.0
 
     def test_total_probability(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         assert abs(hypoexp_cdf(d, 100.0) - 1.0) < 1e-12
 
     def test_value_at_one(self):
         # antiderivative at y = 1, cross-checked by integrating the pdf
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         value = hypoexp_cdf(d, 1.0)
         assert abs(value - 0.39957640089372803) < 1e-12
         assert abs(value - quad(functools.partial(hypoexp_pdf, d), 0.0, 1.0)) < 1e-10
 
     def test_monotone_nondecreasing(self):
-        d = HypoexpTwo.from_rates(5.0, 0.2)
+        d = RatePair(5.0, 0.2)
         values = hypoexp_cdf(d, np.linspace(0.0, 40.0, 400))
         assert np.all(np.diff(values) >= 0.0)
 
     def test_centered_difference_recovers_pdf(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         h = 1e-5
         for y in (0.1, 0.5, 1.0, 2.0, 5.0):
             slope = (hypoexp_cdf(d, y + h) - hypoexp_cdf(d, y - h)) / (2.0 * h)
             assert abs(slope - hypoexp_pdf(d, y)) < 1e-6
 
     def test_degenerate_cdf_integrates_erlang_density(self):
-        d = HypoexpTwo.from_rates(1.0, 1.0)
+        d = RatePair(1.0, 1.0)
         for y in (0.5, 2.0, 6.0):
             assert abs(hypoexp_cdf(d, y) - quad(functools.partial(hypoexp_pdf, d), 0.0, y)) < 1e-10
 
 
 class TestMean:
     def test_unit_mean_pairs(self):
-        assert hypoexp_mean(HypoexpTwo.from_rates(2.0, 2.0)) == 1.0
-        assert abs(hypoexp_mean(HypoexpTwo.from_rates(5.0, 1.25)) - 1.0) < 1e-15
+        assert hypoexp_mean(RatePair(2.0, 2.0)) == 1.0
+        assert abs(hypoexp_mean(RatePair(5.0, 1.25)) - 1.0) < 1e-15
 
     def test_two_unit_mean_summands(self):
-        assert hypoexp_mean(HypoexpTwo.from_rates(1.0, 1.0)) == 2.0
+        assert hypoexp_mean(RatePair(1.0, 1.0)) == 2.0
 
 
 class TestSampling:
     def test_nonnegative(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         ys = sample_hypoexp(d, np.random.default_rng(0), size=10_000)
         assert np.all(ys >= 0.0)
 
     def test_seed_determinism(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         a = sample_hypoexp(d, np.random.default_rng(123), size=5_000)
         b = sample_hypoexp(d, np.random.default_rng(123), size=5_000)
         np.testing.assert_array_equal(a, b)
@@ -268,22 +270,22 @@ class TestSampling:
 
     def test_rate_order_does_not_change_stream(self):
         a = sample_hypoexp(
-            HypoexpTwo.from_rates(2.0, 1.0), np.random.default_rng(7), size=1_000
+            RatePair(2.0, 1.0), np.random.default_rng(7), size=1_000
         )
         b = sample_hypoexp(
-            HypoexpTwo.from_rates(1.0, 2.0), np.random.default_rng(7), size=1_000
+            RatePair(1.0, 2.0), np.random.default_rng(7), size=1_000
         )
         np.testing.assert_array_equal(a, b)
 
     def test_empirical_mean(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         ys = sample_hypoexp(d, np.random.default_rng(42), size=10**6)
         stderr = ys.std(ddof=1) / math.sqrt(len(ys))
         assert abs(ys.mean() - 1.5) < 4.0 * stderr
 
     @pytest.mark.parametrize("rates", [(2.0, 1.0), (10.0, 0.3)])
     def test_kolmogorov_smirnov_against_cdf(self, rates):
-        d = HypoexpTwo.from_rates(*rates)
+        d = RatePair(*rates)
         n = 10**5
         ys = np.sort(sample_hypoexp(d, np.random.default_rng(7), size=n))
         cdf = hypoexp_cdf(d, ys)
@@ -293,7 +295,7 @@ class TestSampling:
         assert stat < critical
 
     def test_rejects_bad_size(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         with pytest.raises(ValueError):
             sample_hypoexp(d, np.random.default_rng(0), size=0)
 
@@ -302,7 +304,7 @@ class TestSingleRateFamilies:
     """Erlang-2 is the two-phase law at equal rates."""
 
     def test_erlang2_pdf_and_mean(self):
-        e = HypoexpTwo.from_rates(1.0, 1.0)
+        e = RatePair(1.0, 1.0)
         assert hypoexp_pdf(e, 0.0) == 0.0
         assert abs(hypoexp_pdf(e, 2.0) - 2.0 * math.exp(-2.0)) < 1e-15
         assert hypoexp_pdf(e, -0.5) == 0.0
@@ -311,4 +313,4 @@ class TestSingleRateFamilies:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
-            HypoexpTwo.from_rates(bad, bad)
+            RatePair(bad, bad)

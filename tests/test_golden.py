@@ -40,7 +40,7 @@ import pytest
 from conftest import mp_entropy
 from expsum import oracle
 from expsum.cli import _fig1_columns, _fig2_columns, main
-from expsum.dist import HypoexpTwo
+from expsum.dist import RatePair
 from expsum.specfun import _ASYMPTOTIC, EULER_GAMMA
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
@@ -77,7 +77,7 @@ def outcome(fn):
     ids=lambda c: "{!r} {!r} tol {!r}".format(*c["rates"], c["abs_tol"]),
 )
 def test_quadrature_values(case):
-    d = HypoexpTwo.from_rates(*case["rates"])
+    d = RatePair(*case["rates"])
     tol = case["abs_tol"]
     got = {
         "entropy": outcome(lambda: oracle.entropy_quadrature(d, abs_tol=tol)),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from expsum import oracle
-from expsum.dist import HypoexpTwo, hypoexp_log_pdf, sample_hypoexp
+from expsum.dist import RatePair, hypoexp_log_pdf, sample_hypoexp
 from expsum.entropy import erlang2_entropy
 from expsum.oracle import (
     MAX_SUBDIVISIONS,
@@ -33,7 +33,7 @@ class TestQuadratureConfig:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
     def test_rejects_bad_tolerance(self, tol):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         for call in (
             lambda: entropy_quadrature(d, abs_tol=tol),
             lambda: normalization_quadrature(d, abs_tol=tol),
@@ -46,30 +46,30 @@ class TestQuadratureConfig:
 
 class TestEntropyQuadrature:
     def test_erlang2_unit_rate(self):
-        d = HypoexpTwo.from_rates(1.0, 1.0)
+        d = RatePair(1.0, 1.0)
         assert abs(entropy_quadrature(d) - (1.0 + EULER_GAMMA)) < 1e-9
 
     def test_erlang2_rate_two(self):
         expected = 1.0 + EULER_GAMMA - math.log(2.0)
-        assert abs(entropy_quadrature(HypoexpTwo.from_rates(2.0, 2.0)) - expected) < 1e-9
+        assert abs(entropy_quadrature(RatePair(2.0, 2.0)) - expected) < 1e-9
 
     def test_hypoexp_two_one(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         assert abs(entropy_quadrature(d) - (2.0 - math.log(2.0))) < 1e-9
 
     def test_degenerate_routes_to_erlang_forms(self):
         # a relative gap of 5e-14 integrates to the Erlang-2 entropy
-        d = HypoexpTwo.from_rates(1.0 + 5e-14, 1.0)
+        d = RatePair(1.0 + 5e-14, 1.0)
         assert abs(entropy_quadrature(d) - erlang2_entropy(1.0)) < 1e-9
 
     def test_loose_tolerance_still_close(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         assert abs(entropy_quadrature(d, abs_tol=1e-6) - (2.0 - math.log(2.0))) < 1e-5
 
     def test_budget_exhaustion_raises(self):
         # the case of the golden exit-3 command: 1e-30 is below what doubles resolve
         with pytest.raises(ConvergenceError):
-            entropy_quadrature(HypoexpTwo.from_rates(2.0, 1.0), abs_tol=1e-30)
+            entropy_quadrature(RatePair(2.0, 1.0), abs_tol=1e-30)
 
 
 class TestNormalization:
@@ -79,31 +79,31 @@ class TestNormalization:
         worst = 0.0
         for i, a in enumerate(grid):
             for b in grid[i:]:
-                d = HypoexpTwo.from_rates(a, b)
+                d = RatePair(a, b)
                 worst = max(worst, abs(normalization_quadrature(d) - 1.0))
         assert worst <= 1e-10
 
     def test_single_rate_families(self):
-        assert abs(normalization_quadrature(HypoexpTwo.from_rates(3.0, 3.0)) - 1.0) < 1e-10
+        assert abs(normalization_quadrature(RatePair(3.0, 3.0)) - 1.0) < 1e-10
 
 
 class TestMonteCarlo:
     def test_requires_two_samples(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         with pytest.raises(ValueError):
             entropy_monte_carlo(d, 1, seed=42)
         with pytest.raises(ValueError):
             entropy_monte_carlo(d, 0, seed=42)
 
     def test_deterministic_given_seed(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         a = entropy_monte_carlo(d, 10_000, seed=42)
         b = entropy_monte_carlo(d, 10_000, seed=42)
         assert a == b
         assert isinstance(a, EstimateWithError)
 
     def test_within_statistical_band(self):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         est = entropy_monte_carlo(d, 10**5, seed=42)
         closed = 2.0 - math.log(2.0)
         assert est.std_error > 0.0
@@ -112,13 +112,13 @@ class TestMonteCarlo:
 
     def test_erlang2_at_rates_whose_sum_overflows(self):
         # the samples lie near 1e-308, so ln f must not floor y at a fixed value
-        est = entropy_monte_carlo(HypoexpTwo.from_rates(1.7e308, 1.7e308), 10**4, seed=42)
+        est = entropy_monte_carlo(RatePair(1.7e308, 1.7e308), 10**4, seed=42)
         assert abs(est.estimate - erlang2_entropy(1.7e308)) <= 5.0 * est.std_error
 
     @staticmethod
     def one_shot_values(rates, n, seed):
         """-ln f at the samples of the one-shot ``sample_hypoexp`` stream."""
-        d = HypoexpTwo.from_rates(*rates)
+        d = RatePair(*rates)
         return -hypoexp_log_pdf(d, sample_hypoexp(d, np.random.default_rng(seed), n))
 
     @pytest.mark.parametrize("n", [2, MC_CHUNK - 1, MC_CHUNK])
@@ -127,7 +127,7 @@ class TestMonteCarlo:
     def test_one_chunk_matches_one_shot_bit_for_bit(self, n, rates, seed):
         vals = self.one_shot_values(rates, n, seed)
         expected = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)))
-        est = entropy_monte_carlo(HypoexpTwo.from_rates(*rates), n, seed)
+        est = entropy_monte_carlo(RatePair(*rates), n, seed)
         assert (est.estimate, est.std_error) == expected
 
     @pytest.mark.parametrize("n", [MC_CHUNK + 1, 3 * MC_CHUNK + 5, 10**6])
@@ -137,7 +137,7 @@ class TestMonteCarlo:
         vals = self.one_shot_values(rates, n, seed)
         mean = math.fsum(vals.tolist()) / n
         m2 = math.fsum(((vals - mean) ** 2).tolist())
-        est = entropy_monte_carlo(HypoexpTwo.from_rates(*rates), n, seed)
+        est = entropy_monte_carlo(RatePair(*rates), n, seed)
         assert abs(est.estimate - mean) <= 4 * math.ulp(math.fsum(np.abs(vals).tolist()) / n)
         # M2 within 1e-15 relative, as seen through the square root (which
         # halves a relative error) and the roundings that follow it
@@ -152,13 +152,13 @@ class TestMonteCarlo:
         monkeypatch.setattr(oracle, "MC_CHUNK", 16)
         n = 1 << 18
         vals = self.one_shot_values((2.0, 1.0), n, seed)
-        est = entropy_monte_carlo(HypoexpTwo.from_rates(2.0, 1.0), n, seed)
+        est = entropy_monte_carlo(RatePair(2.0, 1.0), n, seed)
         mean = math.fsum(vals.tolist()) / n
         assert abs(est.estimate - mean) <= 4 * math.ulp(math.fsum(np.abs(vals).tolist()) / n)
 
     @staticmethod
     def traced_peak(n):
-        d = HypoexpTwo.from_rates(2.0, 1.0)
+        d = RatePair(2.0, 1.0)
         tracemalloc.start()
         try:
             entropy_monte_carlo(d, n, 0)
@@ -167,7 +167,7 @@ class TestMonteCarlo:
             tracemalloc.stop()
 
     def test_memory_does_not_grow_with_n(self):
-        entropy_monte_carlo(HypoexpTwo.from_rates(2.0, 1.0), 1000, 0)  # set-up outside the trace
+        entropy_monte_carlo(RatePair(2.0, 1.0), 1000, 0)  # set-up outside the trace
         small = self.traced_peak(4 * MC_CHUNK)
         large = self.traced_peak(10**7)
         assert large <= 16 * 8 * MC_CHUNK
@@ -181,7 +181,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(oracle, "hypoexp_log_pdf", one_inf)
         with pytest.raises(FloatingPointError) as info:
-            entropy_monte_carlo(HypoexpTwo.from_rates(3.0, 2.0), 10, seed=5)
+            entropy_monte_carlo(RatePair(3.0, 2.0), 10, seed=5)
         message = str(info.value)
         for part in ("sample 7", "3.0", "2.0", "n=10", "seed=5"):
             assert part in message
@@ -198,7 +198,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(oracle, "hypoexp_log_pdf", inf_in_second_chunk)
         with pytest.raises(FloatingPointError) as info:
-            entropy_monte_carlo(HypoexpTwo.from_rates(3.0, 2.0), 3 * MC_CHUNK, seed=5)
+            entropy_monte_carlo(RatePair(3.0, 2.0), 3 * MC_CHUNK, seed=5)
         assert f"at sample {MC_CHUNK + 7} " in str(info.value)
         assert len(calls) == 2
 
