@@ -10,8 +10,9 @@ where E(gap, y) = (1 - exp(-gap * y)) / gap = int_0^y exp(-gap * s) ds is
 computed with expm1 and equals y at gap = 0. This one form is the
 familiar difference of exponentials for distinct rates and the Erlang-2
 density at equal rates, with no cancellation and no switch between the
-two, however small the gap. The log-density and the CDF are written in
-terms of E as well.
+two, however small the gap. In the unit scale t = lambda_lo y it reads
+f = lambda_lo e^(-t) k with k = lambda_hi E, the kernel that the pdf, the
+CDF and the quadrature oracles share; the log-density uses E itself.
 
 numpy is imported inside the array functions, not at module level, so
 that importing the package for its scalar closed forms does not load it.
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+
+_DBL_MAX = 1.7976931348623157e308
 
 
 def _require_rate(value: float, name: str) -> float:
@@ -65,31 +68,35 @@ def HypoexpTwo(rates: RatePair) -> RatePair:
     return rates
 
 
-def _gap_integral(rates: RatePair, y):
-    """E(gap, y) = (1 - exp(-gap y))/gap for the array y >= 0, with
-    gap = lambda_hi - lambda_lo; y at gap = 0."""
+def _unit_kernel(rates: RatePair, x, t_per_x, d_per_x):
+    """(t, e^(-t) k, k) for t = t_per_x x, d = gap y = d_per_x x and k = lambda_hi E:
+    the density is f(y) = lambda_lo e^(-t) k in the unit scale t = lambda_lo y.
+
+    k = r (1 - e^(-d)) with r = lambda_hi/gap <= 2^53, or t at gap = 0,
+    where d is not formed and t is capped at DBL_MAX, so that e^(-t) k is 0,
+    not 0 * inf, at t = +inf. t or d overflowing to +inf is exact here.
+    """
     import numpy as np
 
-    gap = rates.lambda_hi - rates.lambda_lo
-    return y if gap == 0.0 else np.expm1(-gap * y) / -gap
+    hi, lo = rates
+    with np.errstate(over="ignore"):
+        t = t_per_x * x
+        k = np.minimum(t, _DBL_MAX) if hi == lo else hi / (hi - lo) * -np.expm1(-(d_per_x * x))
+    return t, np.exp(-t) * k, k
 
 
 def hypoexp_pdf(rates: RatePair, y):
     """Density of the sum at ``y`` (scalar or array); 0 for y < 0.
 
-    lambda_hi * (lambda_lo E e^(-lambda_lo y)): the bracket is at most
-    1/e, so no intermediate overflows, even for rates near DBL_MAX.
-    y is clipped to 746/lambda_lo, past which e^(-lambda_lo y) is 0: at equal
-    rates lambda_lo E = lambda_lo y may overflow there, and inf * 0 is nan.
-    Equal rates below about 4e-306 overflow the bound and give nan at y = +inf.
+    lambda_lo (e^(-t) k): the bracket is at most max(1/e, r), so nothing overflows,
+    and lambda_lo E, which underflows for ratios of rates past DBL_MAX, is never formed.
     """
     import numpy as np
 
-    lo = rates.lambda_lo
+    hi, lo = rates
     arr = np.asarray(y, dtype=float)
-    yc = np.minimum(np.maximum(arr, 0.0), 746.0 / lo)
-    val = rates.lambda_hi * (lo * _gap_integral(rates, yc) * np.exp(-lo * yc))
-    return _ret(np.where(arr < 0.0, 0.0, val), arr)
+    _, g, _ = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
+    return _ret(np.where(arr < 0.0, 0.0, lo * g), arr)
 
 
 def hypoexp_log_pdf(rates: RatePair, y):
@@ -98,35 +105,34 @@ def hypoexp_log_pdf(rates: RatePair, y):
 
     ln E is taken of E itself, not as ln(-expm1(-gap y)) - ln(gap): for
     relative gaps near 1e-15 those two logarithms are near -36 and their
-    difference loses about 4 bits.
+    difference loses about 4 bits. At gap = 0, E is capped at DBL_MAX, so
+    that at y = +inf the sum is -inf, not -inf + inf.
     Returns -inf where the density is 0 (y <= 0).
     """
     import numpy as np
 
+    hi, lo = rates
     arr = np.asarray(y, dtype=float)
     yc = np.maximum(arr, 5e-324)  # moves only y <= 0, which is -inf below
-    with np.errstate(divide="ignore"):
-        log_e = np.log(_gap_integral(rates, yc))
-    val = math.log(rates.lambda_hi) + math.log(rates.lambda_lo) - rates.lambda_lo * yc
-    val += log_e
+    with np.errstate(divide="ignore", over="ignore"):
+        e = np.minimum(yc, _DBL_MAX) if hi == lo else np.expm1((lo - hi) * yc) / (lo - hi)
+        val = math.log(hi) + math.log(lo) - lo * yc
+        val += np.log(e)
     return _ret(np.where(arr <= 0.0, -np.inf, val), arr)
 
 
 def hypoexp_cdf(rates: RatePair, y):
     """Cumulative distribution of the sum at ``y``; 0 for y < 0, -> 1 as y grows.
 
-    1 - e^(-lambda_lo y) (1 + lambda_lo E), arranged as
-    -expm1(-lambda_lo y) - lambda_lo E e^(-lambda_lo y), whose error near
-    y = 0 shrinks with y instead of staying at one ulp of 1. y is clipped
-    as in ``hypoexp_pdf``.
+    1 - e^(-t) (1 + lambda_lo E), arranged as -expm1(-t) - (lambda_lo/lambda_hi) e^(-t) k,
+    whose error near y = 0 shrinks with y instead of staying at one ulp of 1.
     """
     import numpy as np
 
+    hi, lo = rates
     arr = np.asarray(y, dtype=float)
-    yc = np.minimum(np.maximum(arr, 0.0), 746.0 / rates.lambda_lo)
-    t = rates.lambda_lo * yc
-    val = -np.expm1(-t) - rates.lambda_lo * _gap_integral(rates, yc) * np.exp(-t)
-    val = np.clip(val, 0.0, 1.0)
+    t, g, _ = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
+    val = np.clip(-np.expm1(-t) - lo / hi * g, 0.0, 1.0)
     return _ret(np.where(arr < 0.0, 0.0, val), arr)
 
 

@@ -14,6 +14,18 @@ entropy expressions:
   integral tables; checking one against the other validates the identity
   the entropy derivation rests on.
 
+The quadratures integrate in the unit scale t = lambda_lo y: the entropy
+is a scale family, h(Y) = h(lambda_lo Y) - ln lambda_lo, and f(y) =
+lambda_lo g(t) with g = e^(-t) k, k from ``dist._unit_kernel``, so
+h = -ln lambda_lo + int g (t - ln k) dt. With d = gap y formed as
+t (gap/lambda_lo), one domain [0, T] serves every rate pair: for t >= 1,
+1 <= k <= 2t (k grows with t, is (1 + x)(1 - e^(-x))/x >= 1 at t = 1 for
+x = gap/lambda_lo, and is at most t lambda_hi/lambda_lo and at most
+lambda_hi/gap), so the tail of g |t - ln k| beyond T is below
+2 e^(-T) (T^2 + 2T + 2), and T is the smallest doubling of 20 that puts
+it under a tenth of the tolerance. Only the density kernel is shared with
+the package, never the digamma closed form, so agreement checks the latter.
+
 numpy is imported inside the functions that build arrays, and the
 Gauss-Kronrod tables are built on first use, so importing this module
 does not load numpy.
@@ -140,79 +152,36 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
     return math.fsum(panel[4] for panel in heap)
 
 
-def _truncation_point(rates: RatePair, abs_tol: float) -> float:
-    """Smallest doubling of 20/lambda_slow whose tail bound is < abs_tol/10.
-
-    The bound is on the mass of |f ln f| (and of f) beyond u.
-    Erlang-2(lam), for exactly equal rates, valid for u >= 1 so that
-    ln y <= y on the tail:
-        exp(-lam u) (2|ln lam|(1 + lam u)
-                     + (1 + lam)(lam^2 u^2 + 2 lam u + 2)/lam).
-    Distinct rates, with c = lambda_hi lambda_lo / (lambda_hi - lambda_lo):
-    f <= c exp(-lambda_lo y) and |ln f| <= |ln c| + lambda_hi y + 1 on the
-    tail, giving
-        c exp(-lambda_lo u) (|ln c| + lambda_hi u + 1)(u + 2/lambda_lo),
-    summed in logs, ln c = ln lambda_hi + ln lambda_lo - ln(lambda_hi - lambda_lo),
-    as c itself under- or overflows at rates like (2e-300, 1e-300), (2e200, 1e200).
-    Each bound also dominates the plain density tail, so the same
-    truncation point serves the normalization integral.
-    """
-    hi, lo = rates
-    if hi == lo:
-        lam = hi
-
-        def tail_bound(u):
-            e = math.exp(-lam * u)
-            poly = (1.0 + lam) * (lam * lam * u * u + 2.0 * lam * u + 2.0) / lam
-            return e * (2.0 * abs(math.log(lam)) * (1.0 + lam * u) + poly)
-
-        u = max(20.0 / lam, 1.0)  # the Erlang-2 bound needs u >= 1
-    else:
-        log_c = math.log(hi) + math.log(lo) - math.log(hi - lo)
-
-        def tail_bound(u):
-            log_bound = log_c - lo * u + math.log(abs(log_c) + hi * u + 1.0)
-            return math.exp(log_bound + math.log(u + 2.0 / lo))
-
-        u = 20.0 / lo
-    for _ in range(200):
-        if tail_bound(u) < abs_tol / 10.0:
-            return u
-        u *= 2.0
-    raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
-
-
-def _neg_f_log_f(rates: RatePair):
-    import numpy as np
-
-    def integrand(y):
-        f = np.asarray(dist.hypoexp_pdf(rates, y), dtype=float)
-        out = np.zeros_like(f)
-        mask = f > 0.0
-        out[mask] = -f[mask] * np.log(f[mask])
-        return out
-
-    return integrand
+def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
+    """int_0^T integrand(t, g, k) dt over the unit scale, with T from the tail
+    bound and (t, g, k) from ``dist._unit_kernel`` at d = t (gap/lambda_lo)."""
+    abs_tol = _require_positive(abs_tol, "abs_tol")
+    t_max = 20.0
+    while 2.0 * math.exp(-t_max) * (t_max * t_max + 2.0 * t_max + 2.0) >= abs_tol / 10.0:
+        if t_max > 2000.0:
+            raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
+        t_max *= 2.0
+    per_t = (rates.lambda_hi - rates.lambda_lo) / rates.lambda_lo  # not t/lambda_lo: overflows
+    return _adaptive(
+        lambda t: integrand(*dist._unit_kernel(rates, t, 1.0, per_t)), 0.0, t_max, abs_tol
+    )
 
 
 def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
-    """Differential entropy -int f ln f of the sum at ``rates``, by adaptive quadrature.
+    """Differential entropy -int f ln f of the sum at ``rates``, by adaptive quadrature
+    of -ln lambda_lo + int_0^T g (t - ln k) dt, with 0 ln 0 = 0 where k vanishes.
+    Raises ConvergenceError if the subdivision budget is exhausted."""
+    import numpy as np
 
-    The integration domain is [0, U] with U from the analytic tail bound,
-    so truncation error stays below a tenth of ``abs_tol``; the 0 ln 0
-    convention at points of vanishing density is applied explicitly.
-    Raises ConvergenceError if the subdivision budget is exhausted.
-    """
-    abs_tol = _require_positive(abs_tol, "abs_tol")
-    u = _truncation_point(rates, abs_tol)
-    return _adaptive(_neg_f_log_f(rates), 0.0, u, abs_tol)
+    def integrand(t, g, k):
+        return g * (t - np.log(k, out=np.zeros_like(k), where=k > 0.0))
+
+    return _unit_quadrature(rates, abs_tol, integrand) - math.log(rates.lambda_lo)
 
 
 def normalization_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
-    """int f at ``rates`` over the same truncated domain; should be 1 for any density."""
-    abs_tol = _require_positive(abs_tol, "abs_tol")
-    u = _truncation_point(rates, abs_tol)
-    return _adaptive(lambda y: dist.hypoexp_pdf(rates, y), 0.0, u, abs_tol)
+    """int f = int_0^T g dt at ``rates``, as in ``entropy_quadrature``; should be 1."""
+    return _unit_quadrature(rates, abs_tol, lambda t, g, k: g)
 
 
 def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError:

@@ -7,14 +7,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import expsum
 import expsum.entropy
-from expsum import cli
+from expsum import cli, oracle
 from expsum.cli import _fmt17, main
+from expsum.dist import RatePair
 from expsum.specfun import EULER_GAMMA
 
 
@@ -108,13 +110,34 @@ class TestEntropyCommand:
         assert abs(first_value(out, "entropy_nats") - first_value(closed, "entropy_nats")) <= 1e-10
 
     @pytest.mark.parametrize(
-        "rates, code", [(("1e300", "1e-300"), 3), (("1.7e308", "1.7e308"), 3)]
+        "rates",
+        [
+            ("1e300", "1e-300"),
+            ("1.7e308", "1.7e308"),
+            ("5e-324", "5e-324"),
+            ("1.7e308", "5e-324"),
+            ("1.7e308", "1.6e308"),
+            ("1e-310", "5e-311"),
+        ],
     )
-    def test_quadrature_at_extreme_rates_fails_cleanly(self, capsys, rates, code):
-        # the GK15 oracle cannot integrate at these rates yet; pinned so that they
-        # keep failing cleanly, never with 1 (verification failure) or 5 (crash)
-        argv = ["entropy", "--lambda-w", rates[0], "--lambda-x", rates[1], "--method", "quad"]
-        assert run(capsys, argv)[:2] == (code, "")
+    def test_quadrature_at_extreme_rates(self, capsys, rates):
+        # a ratio past DBL_MAX, equal rates at both ends of the range and a
+        # subnormal gap: the unit-scale oracle meets its tolerance at each
+        argv = ["entropy", "--lambda-w", rates[0], "--lambda-x", rates[1]]
+        code, out, err = run(capsys, [*argv, "--method", "quad"])
+        assert (code, err) == (0, "")
+        _, closed, _ = run(capsys, argv)
+        assert abs(first_value(out, "entropy_nats") - first_value(closed, "entropy_nats")) <= 1e-10
+        assert abs(oracle.normalization_quadrature(RatePair(*map(float, rates))) - 1.0) <= 1e-10
+
+    def test_tolerance_below_the_tail_bound_exits_three_at_once(self, capsys):
+        # abs_tol/10 underflows to 0, which no tail bound drops below
+        argv = ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "quad"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, [*argv, "--tol", "5e-324"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "error" in err
 
     def test_unattainable_tolerance_exits_three(self, capsys):
         code, _, err = run(

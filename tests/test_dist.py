@@ -116,12 +116,15 @@ class TestEqualRates:
         assert hypoexp_entropy(d) == erlang2_entropy(lam)
 
     def test_far_tail_where_lambda_y_overflows(self):
-        # E = y at equal rates, so lambda E overflows here; unclipped, inf * 0 is nan
+        # k = lambda y at equal rates overflows here: inf * 0 would be nan, and
+        # -lambda y + ln y would be -inf + inf
         cases = [(2.0, 1e308), (1e10, 1e300), (1e300, 1e10), (1.0, math.inf)]
         cases += [(lam, math.inf) for lam in np.geomspace(1e-300, 1e300, 61).tolist()]
+        cases += [(lam, math.inf) for lam in (5e-324, 1e-323, 1e-310, 1e-306, 4e-306, DBL_MAX)]
         for lam, y in cases:
             d = RatePair(lam, lam)
             assert hypoexp_pdf(d, y) == 0.0 and hypoexp_cdf(d, y) == 1.0, (lam, y)
+            assert hypoexp_log_pdf(d, y) == -math.inf, (lam, y)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
@@ -139,6 +142,66 @@ class TestEqualRates:
             assert_density_matches_mpmath(mp, d, np.array([1e-3, 0.5, 1.0, 3.0, 20.0]) / b)
             h = hypoexp_entropy(d)
             assert abs(h - mp_entropy(mp, a, b)) <= 4.0 * math.ulp(math.log(b))
+
+
+#: Rates from the smallest subnormal to DBL_MAX. Every pair of them is
+#: tested: ratios past DBL_MAX such as (1e300, 1e-300), subnormal gaps such
+#: as (1e-310, 5e-311) and (1e-323, 5e-324), and equal rates at both ends.
+FULL_RATES = [5e-324, 1e-323, 5e-311, 1e-310, 1e-306, 1e-300, 1e-200, 1e-10, 0.3, 1.0, 3.0,
+              1e10, 1e200, 1e300, 1.6e308, 1.7e308, DBL_MAX]
+FULL_PAIRS = [(a, b) for i, a in enumerate(FULL_RATES) for b in FULL_RATES[i:]] + [
+    (1.0 + 1e-15, 1.0), (1.0 + 1e-9, 1.0), (1e-300 * (1.0 + 1e-12), 1e-300),
+    (1e300 * (1.0 + 1e-12), 1e300), (1e200, 1e-200)]
+#: Points fixed in y, and points fixed in t = lambda_lo y out to where e^(-t) is 0.
+FULL_YS = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-20, 1e-5, 1.0, 1e5, 1e20,
+           1e100, 1e200, 1e300, 1e308, DBL_MAX, math.inf]
+FULL_TS = [1e-300, 1e-20, 1e-8, 1e-3, 0.1, 1.0, 3.0, 10.0, 100.0, 700.0, 740.0]
+
+
+class TestFullDomain:
+    """pdf and cdf over every valid rate pair and y from 0 to +inf, against
+    mpmath, with RuntimeWarnings as errors (as in every tier-1 run)."""
+
+    @pytest.mark.parametrize("pair", FULL_PAIRS, ids=repr)
+    def test_matches_mpmath(self, mp, pair):
+        """pdf to 1e-15 max(1, t) relative, and cdf to 1e-15 of -expm1(-t),
+        the larger of its two terms, whose difference cancels as y -> 0.
+
+        Each bound adds the absolute error of rounding to subnormals: one
+        spacing 2^-1074 of the result, and one of t, d = gap y and e^(-t),
+        carried through the factors that follow them, which are at most
+        lambda_lo (r + k) in the pdf and 1 + lambda_lo/gap in the cdf.
+        Rounding those to subnormals loses relative precision where the pdf is
+        still a normal double, e.g. d at (1 + 1e-15, 1), y = 1e-300, or
+        e^(-t) at t > 708 with lambda_lo near DBL_MAX.
+        """
+        d = RatePair(*pair)
+        hi, lo = d
+        ys = FULL_YS + [t / lo for t in FULL_TS if t / lo < math.inf]
+        pdf, cdf = hypoexp_pdf(d, np.array(ys)).tolist(), hypoexp_cdf(d, np.array(ys)).tolist()
+        big_h, big_l = mp.mpf(hi), mp.mpf(lo)
+        gap = big_h - big_l
+        r = 1.0 if gap == 0 else float(big_h / gap)
+        for y, p, c in zip(ys, pdf, cdf):
+            if y == math.inf:
+                assert (p, c) == (0.0, 1.0), (d, y)
+                continue
+            big_y = mp.mpf(y)
+            e = big_y if gap == 0 else -mp.expm1(-gap * big_y)
+            if gap != 0:
+                e /= gap
+            f = big_h * big_l * mp.exp(-big_l * big_y) * e
+            big_f = -mp.expm1(-big_l * big_y) - big_l * e * mp.exp(-big_l * big_y)
+            t = float(big_l * big_y)
+            sub = 2.0**-1074 * (1.0 + lo * (r + float(big_h * e)))
+            assert abs(p - f) <= 1e-15 * max(1.0, t) * f + sub, (d, y, p)
+            sub = 2.0**-1074 * (1.0 + (1.0 if gap == 0 else float(big_l / gap)))
+            assert abs(c - big_f) <= 1e-15 * -mp.expm1(-big_l * big_y) + sub, (d, y, c)
+
+    def test_ratio_past_dbl_max(self):
+        # lambda_lo E alone underflows to 0 here; the pdf is 1e-200 e^(-1)
+        pdf = hypoexp_pdf(RatePair(1e200, 1e-200), 1e200)
+        assert abs(pdf - 3.6787944117144233e-201) <= 1e-15 * 3.68e-201
 
 
 class TestPdf:

@@ -233,3 +233,18 @@ def test_quadrature_values_are_within_tolerance_of_mpmath(mp, case):
     tol = case["abs_tol"]
     assert abs(float.fromhex(case["entropy"]) - mp_entropy(mp, *case["rates"])) <= tol
     assert abs(float.fromhex(case["normalization"]) - 1.0) <= tol
+
+
+#: The largest |entropy - mpmath| / abs_tol over the oracle corpus as recorded
+#: before the quadratures moved to the unit scale t = lambda_lo y. The corpus
+#: was re-recorded only after this test passed on the new values; no later
+#: re-recording may exceed it.
+CORPUS_WORST_ENTROPY_ERROR = 0.017838888394643183
+
+
+def test_quadrature_corpus_worst_error_does_not_grow(mp):
+    worst = max(
+        abs(float.fromhex(case["entropy"]) - mp_entropy(mp, *case["rates"])) / case["abs_tol"]
+        for case in GOLDEN["oracle"]["quadrature"]
+    )
+    assert worst <= CORPUS_WORST_ENTROPY_ERROR
