@@ -12,7 +12,6 @@ from .dist import (
     hypoexp_log_pdf,
     hypoexp_mean,
     hypoexp_pdf,
-    sample_hypoexp,
 )
 from .entropy import (
     cond_entropy_light,
@@ -55,6 +54,5 @@ __all__ = [
     "mean_constrained_rates",
     "mutual_info_aen",
     "normalization_quadrature",
-    "sample_hypoexp",
     "__version__",
 ]

@@ -12,7 +12,7 @@ familiar difference of exponentials for distinct rates and the Erlang-2
 density at equal rates, with no cancellation and no switch between the
 two, however small the gap. In the unit scale t = lambda_lo y it reads
 f = lambda_lo e^(-t) k with k = lambda_hi E, the kernel that the pdf, the
-CDF and the quadrature oracles share; the log-density uses E itself.
+CDF, both quadratures and Monte Carlo share; the log-density uses E itself.
 
 numpy is imported inside the array functions, not at module level, so
 that importing the package for its scalar closed forms does not load it.
@@ -69,7 +69,7 @@ def HypoexpTwo(rates: RatePair) -> RatePair:
 
 
 def _unit_kernel(rates: RatePair, x, t_per_x, d_per_x):
-    """(t, e^(-t) k, k) for t = t_per_x x, d = gap y = d_per_x x and k = lambda_hi E:
+    """(t, k) for t = t_per_x x, d = gap y = d_per_x x and k = lambda_hi E:
     the density is f(y) = lambda_lo e^(-t) k in the unit scale t = lambda_lo y.
 
     k = r (1 - e^(-d)) with r = lambda_hi/gap <= 2^53, or t at gap = 0,
@@ -82,7 +82,7 @@ def _unit_kernel(rates: RatePair, x, t_per_x, d_per_x):
     with np.errstate(over="ignore"):
         t = t_per_x * x
         k = np.minimum(t, _DBL_MAX) if hi == lo else hi / (hi - lo) * -np.expm1(-(d_per_x * x))
-    return t, np.exp(-t) * k, k
+    return t, k
 
 
 def hypoexp_pdf(rates: RatePair, y):
@@ -95,8 +95,8 @@ def hypoexp_pdf(rates: RatePair, y):
 
     hi, lo = rates
     arr = np.asarray(y, dtype=float)
-    _, g, _ = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
-    return _ret(np.where(arr < 0.0, 0.0, lo * g), arr)
+    t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
+    return _ret(np.where(arr < 0.0, 0.0, lo * (np.exp(-t) * k)), arr)
 
 
 def hypoexp_log_pdf(rates: RatePair, y):
@@ -105,9 +105,15 @@ def hypoexp_log_pdf(rates: RatePair, y):
 
     ln E is taken of E itself, not as ln(-expm1(-gap y)) - ln(gap): for
     relative gaps near 1e-15 those two logarithms are near -36 and their
-    difference loses about 4 bits. At gap = 0, E is capped at DBL_MAX, so
-    that at y = +inf the sum is -inf, not -inf + inf.
+    difference loses about 4 bits. E is capped at DBL_MAX, so that at
+    y = +inf the sum is -inf, not -inf + inf, also where 1/gap overflows.
     Returns -inf where the density is 0 (y <= 0).
+
+    It stays on E: the kernel's ln lambda_lo - t + ln k is -inf at equal
+    rates wherever t = lambda y underflows, e.g. (5e-324, 5e-324) at y = 1e-5,
+    on 43 points of ``TestFullDomain``'s grid that this form meets to 4 ulp.
+    It is still -inf at a subnormal y where gap y and E underflow, e.g.
+    (5e-324, 1e-306) at y = 5e-324, true value -2193.47.
     """
     import numpy as np
 
@@ -115,7 +121,7 @@ def hypoexp_log_pdf(rates: RatePair, y):
     arr = np.asarray(y, dtype=float)
     yc = np.maximum(arr, 5e-324)  # moves only y <= 0, which is -inf below
     with np.errstate(divide="ignore", over="ignore"):
-        e = np.minimum(yc, _DBL_MAX) if hi == lo else np.expm1((lo - hi) * yc) / (lo - hi)
+        e = np.minimum(yc if hi == lo else np.expm1((lo - hi) * yc) / (lo - hi), _DBL_MAX)
         val = math.log(hi) + math.log(lo) - lo * yc
         val += np.log(e)
     return _ret(np.where(arr <= 0.0, -np.inf, val), arr)
@@ -131,8 +137,8 @@ def hypoexp_cdf(rates: RatePair, y):
 
     hi, lo = rates
     arr = np.asarray(y, dtype=float)
-    t, g, _ = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
-    val = np.clip(-np.expm1(-t) - lo / hi * g, 0.0, 1.0)
+    t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
+    val = np.clip(-np.expm1(-t) - lo / hi * (np.exp(-t) * k), 0.0, 1.0)
     return _ret(np.where(arr < 0.0, 0.0, val), arr)
 
 
@@ -148,22 +154,3 @@ def exponential_draws(rng: numpy.random.Generator, n: int, rate: float):
 
     return -np.log1p(-rng.random(n)) / rate
 
-
-def sample_hypoexp(rates: RatePair, rng: numpy.random.Generator, size: int | None = None):
-    """Draw Y = W + X by inverse-CDF sampling of the two exponentials.
-
-    Each exponential draw is -log(1 - U)/rate with U uniform on [0, 1);
-    the lambda_hi block of n uniforms is consumed first, then the
-    lambda_lo block, which starts n draws after the lambda_hi block
-    (``entropy_monte_carlo`` relies on this to stream the same samples in
-    chunks). The output is fully determined by the generator state. Pass
-    ``np.random.default_rng(seed)`` (PCG64) for a documented, seedable
-    stream; two generators with equal seeds yield identical samples.
-
-    Returns a scalar when ``size`` is None, else an array of length ``size``.
-    """
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {size!r}")
-    y = exponential_draws(rng, n, rates.lambda_hi) + exponential_draws(rng, n, rates.lambda_lo)
-    return float(y[0]) if size is None else y

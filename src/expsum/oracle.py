@@ -7,17 +7,19 @@ entropy expressions:
   Gauss-Kronrod rule over a truncated domain whose tail is bounded
   analytically.
 * ``entropy_monte_carlo`` is the resubstitution estimator
-  -(1/n) sum ln f(Y_i) over seeded samples drawn from f itself.
+  -(1/n) sum ln f(Y_i) over seeded samples drawn from f itself, taken in
+  the unit scale as -ln lambda_lo + (1/n) sum (t_i - ln k_i).
 * ``gr_log_integral`` numerically evaluates the exponential-log integral
   int_0^inf exp(-u x) ln(1 - exp(-v x)) dx, whose closed form
   -(gamma + psi(u/v + 1))/u is tabulated in Gradshteyn and Ryzhik's
   integral tables; checking one against the other validates the identity
   the entropy derivation rests on.
 
-The quadratures integrate in the unit scale t = lambda_lo y: the entropy
+The entropy oracles work in the unit scale t = lambda_lo y: the entropy
 is a scale family, h(Y) = h(lambda_lo Y) - ln lambda_lo, and f(y) =
 lambda_lo g(t) with g = e^(-t) k, k from ``dist._unit_kernel``, so
-h = -ln lambda_lo + int g (t - ln k) dt. With d = gap y formed as
+h = -ln lambda_lo + int g (t - ln k) dt, which the quadratures integrate
+and Monte Carlo averages over samples of t. With d = gap y formed as
 t (gap/lambda_lo), one domain [0, T] serves every rate pair: for t >= 1,
 1 <= k <= 2t (k grows with t, is (1 + x)(1 - e^(-x))/x >= 1 at t = 1 for
 x = gap/lambda_lo, and is at most t lambda_hi/lambda_lo and at most
@@ -39,7 +41,7 @@ import math
 from collections import namedtuple
 
 from . import dist
-from .dist import RatePair, exponential_draws, hypoexp_log_pdf
+from .dist import RatePair, exponential_draws
 from .specfun import _require_positive
 
 
@@ -154,7 +156,9 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
 
 def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
     """int_0^T integrand(t, g, k) dt over the unit scale, with T from the tail
-    bound and (t, g, k) from ``dist._unit_kernel`` at d = t (gap/lambda_lo)."""
+    bound, (t, k) from ``dist._unit_kernel`` at d = t (gap/lambda_lo) and g = e^(-t) k."""
+    import numpy as np
+
     abs_tol = _require_positive(abs_tol, "abs_tol")
     t_max = 20.0
     while 2.0 * math.exp(-t_max) * (t_max * t_max + 2.0 * t_max + 2.0) >= abs_tol / 10.0:
@@ -162,9 +166,12 @@ def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
             raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
         t_max *= 2.0
     per_t = (rates.lambda_hi - rates.lambda_lo) / rates.lambda_lo  # not t/lambda_lo: overflows
-    return _adaptive(
-        lambda t: integrand(*dist._unit_kernel(rates, t, 1.0, per_t)), 0.0, t_max, abs_tol
-    )
+
+    def unit_integrand(x):
+        t, k = dist._unit_kernel(rates, x, 1.0, per_t)
+        return integrand(t, np.exp(-t) * k, k)
+
+    return _adaptive(unit_integrand, 0.0, t_max, abs_tol)
 
 
 def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
@@ -187,57 +194,64 @@ def normalization_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> floa
 def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError:
     """Resubstitution entropy estimate of the sum at ``rates`` from n seeded samples.
 
-    Draws Y_1..Y_n from the ``sample_hypoexp`` stream of
-    ``default_rng(seed)`` (PCG64) and returns the sample mean of -ln f(Y_i)
-    together with its standard error (sample standard deviation over
-    sqrt(n)). Bit-identical across runs with equal (rates, n, seed).
+    Draws n unit-scale samples t = lambda_lo Y from ``default_rng(seed)``
+    (PCG64): a block of n ``exponential_draws`` at rate lambda_hi/lambda_lo,
+    then one at rate 1, added elementwise; unlike draws of Y, these stay
+    finite at subnormal rates. Returns -ln lambda_lo plus the sample mean
+    of t - ln k, k from ``dist._unit_kernel``, with its standard error
+    (sample standard deviation over sqrt(n)). Bit-identical across runs
+    with equal (rates, n, seed).
 
     The samples are streamed in chunks of ``MC_CHUNK``: a second generator,
     advanced by n draws, supplies the lambda_lo block, so chunk i uses the
-    same uniforms as the one-shot ``sample_hypoexp(rates, rng, n)``. Each chunk
-    of -ln f values is reduced, in one reused buffer, to its sum and its sum
-    of squared deviations M2; the sums are added with Neumaier's
-    compensation and the M2 values merged with the pairwise update of Chan,
-    Golub and LeVeque (1979). Memory is that of one chunk whatever n is.
-    For n <= ``MC_CHUNK`` there is one chunk and the estimates are
-    bit-identical to the one-shot ``vals.mean()`` and ``vals.std(ddof=1)``;
+    same uniforms as the one-shot stream. Each chunk of t - ln k values is
+    reduced, in one reused buffer, to its sum and its sum of squared
+    deviations M2; the sums are added with Neumaier's compensation and the
+    M2 values merged with the pairwise update of Chan, Golub and LeVeque
+    (1979). Memory is that of one chunk whatever n is. For n <=
+    ``MC_CHUNK`` there is one chunk and the estimates are bit-identical to
+    the one-shot ``vals.mean() - ln lambda_lo`` and ``vals.std(ddof=1)``;
     above that they agree with the one-shot reduction to a few ulp (within
     1 ulp of the correctly rounded mean, and M2 within 1e-15 relative, on
     the cases measured up to 10^7 samples).
 
     Raises FloatingPointError, naming the first offending sample, when the
-    estimate is not finite (the log-density was -inf or nan at a sample).
+    estimate is not finite (t - ln k was inf or nan at a sample).
     """
     import numpy as np
 
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be at least 2 to form a standard error, got {n}")
+    hi, lo = rates
+    per_t = (hi - lo) / lo  # d = gap y per unit of t, as in the quadratures
     rng_hi = np.random.default_rng(seed)
     rng_lo = np.random.default_rng(seed)
     rng_lo.bit_generator.advance(n)
     buf = np.empty(min(n, MC_CHUNK))
     total, carry, m2 = 0.0, 0.0, 0.0
     for start in range(0, n, MC_CHUNK):
-        k = min(MC_CHUNK, n - start)
-        y = exponential_draws(rng_hi, k, rates.lambda_hi)
-        y += exponential_draws(rng_lo, k, rates.lambda_lo)
-        vals = buf[:k]
-        np.negative(hypoexp_log_pdf(rates, y), out=vals)
+        size = min(MC_CHUNK, n - start)
+        t = exponential_draws(rng_hi, size, hi / lo)
+        t += exponential_draws(rng_lo, size, 1.0)
+        t, k = dist._unit_kernel(rates, t, 1.0, per_t)
+        vals = buf[:size]
+        with np.errstate(divide="ignore"):  # k = 0 gives t - ln k = inf, reported below
+            np.subtract(t, np.log(k, out=vals), out=vals)
         chunk_sum = float(np.add.reduce(vals))
         if not math.isfinite(chunk_sum):
             bad = int(np.argmin(np.isfinite(vals)))
             raise FloatingPointError(
-                f"Monte-Carlo estimate is not finite: -ln f = {float(vals[bad])!r} at sample "
-                f"{start + bad} (rates {rates.lambda_hi!r}, {rates.lambda_lo!r}; n={n}, seed={seed})"
+                f"Monte-Carlo estimate is not finite: t - ln k = {float(vals[bad])!r} at sample "
+                f"{start + bad} (rates {hi!r}, {lo!r}; n={n}, seed={seed})"
             )
-        chunk_mean = chunk_sum / k
+        chunk_mean = chunk_sum / size
         vals -= chunk_mean
         np.multiply(vals, vals, out=vals)
         chunk_m2 = float(np.add.reduce(vals))
         if start:  # merge with the start samples before this chunk
             delta = chunk_mean - (total + carry) / start
-            m2 += chunk_m2 + delta * delta * start * k / (start + k)
+            m2 += chunk_m2 + delta * delta * start * size / (start + size)
         else:
             m2 = chunk_m2
         # Neumaier summation: total + carry holds the sum of the chunk sums
@@ -248,7 +262,7 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
         else:
             carry += (chunk_sum - new_total) + total
         total = new_total
-    mean = (total + carry) / n
+    mean = (total + carry) / n - math.log(lo)
     std = math.sqrt(m2 / (n - 1))
     return EstimateWithError(estimate=mean, std_error=std / math.sqrt(n), n_samples=n)
 

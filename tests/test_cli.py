@@ -130,6 +130,20 @@ class TestEntropyCommand:
         assert abs(first_value(out, "entropy_nats") - first_value(closed, "entropy_nats")) <= 1e-10
         assert abs(oracle.normalization_quadrature(RatePair(*map(float, rates))) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "rates, n",
+        [(("1e-310", "5e-311"), "1000"), (("5e-324", "5e-324"), "1000"),
+         (("1.7e308", "5e-324"), "10000")],
+    )
+    def test_monte_carlo_at_extreme_rates(self, capsys, rates, n):
+        # raw-rate draws -log(1 - U)/rate overflow at subnormal rates; unit-scale ones do not
+        argv = ["entropy", "--lambda-w", rates[0], "--lambda-x", rates[1]]
+        code, out, err = run(capsys, [*argv, "--method", "mc", "--n", n, "--seed", "1"])
+        assert (code, err) == (0, "")
+        _, closed, _ = run(capsys, argv)
+        miss = abs(first_value(out, "entropy_nats") - first_value(closed, "entropy_nats"))
+        assert miss <= 5.0 * first_value(out, "std_error")
+
     def test_tolerance_below_the_tail_bound_exits_three_at_once(self, capsys):
         # abs_tol/10 underflows to 0, which no tail bound drops below
         argv = ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "quad"]
@@ -436,12 +450,14 @@ class TestInternalError:
         assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
     def test_non_finite_monte_carlo_estimate_exits_five(self, capsys, monkeypatch):
-        def one_inf(d, y):
-            out = expsum.dist.hypoexp_log_pdf(d, y)
-            out[0] = -np.inf
-            return out
+        kernel = expsum.dist._unit_kernel
 
-        monkeypatch.setattr(expsum.oracle, "hypoexp_log_pdf", one_inf)
+        def one_zero(*args):
+            t, k = kernel(*args)
+            k[0] = 0.0
+            return t, k
+
+        monkeypatch.setattr(expsum.dist, "_unit_kernel", one_zero)
         argv = ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "mc"]
         code, out, err = run(capsys, argv + ["--n", "100", "--seed", "3"])
         assert code == cli.EXIT_INTERNAL == 5

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expsum import oracle
-from expsum.dist import RatePair, hypoexp_log_pdf, sample_hypoexp
+from expsum import dist, oracle
+from expsum.dist import RatePair, exponential_draws
 from expsum.entropy import erlang2_entropy
 from expsum.oracle import (
     MAX_SUBDIVISIONS,
@@ -117,16 +117,30 @@ class TestMonteCarlo:
 
     @staticmethod
     def one_shot_values(rates, n, seed):
-        """-ln f at the samples of the one-shot ``sample_hypoexp`` stream."""
-        d = RatePair(*rates)
-        return -hypoexp_log_pdf(d, sample_hypoexp(d, np.random.default_rng(seed), n))
+        """t - ln k at n unit-scale samples t from one generator: the lambda_hi
+        block at rate lambda_hi/lambda_lo first, then the lambda_lo block at rate 1."""
+        hi, lo = d = RatePair(*rates)
+        rng = np.random.default_rng(seed)
+        t = exponential_draws(rng, n, hi / lo) + exponential_draws(rng, n, 1.0)
+        t, k = dist._unit_kernel(d, t, 1.0, (hi - lo) / lo)
+        return t - np.log(k)
+
+    @staticmethod
+    def assert_mean_within_4_ulp(est, vals, rates):
+        """The estimate is -ln lambda_lo plus a mean within 4 ulp of the exact
+        mean of ``vals``, the shift adding at most one rounding."""
+        n = len(vals)
+        expected = math.fsum(vals.tolist()) / n - math.log(min(rates))
+        bound = 4 * math.ulp(math.fsum(np.abs(vals).tolist()) / n) + math.ulp(expected)
+        assert abs(est.estimate - expected) <= bound
 
     @pytest.mark.parametrize("n", [2, MC_CHUNK - 1, MC_CHUNK])
     @pytest.mark.parametrize("rates", [(2.0, 1.0), (1.0, 1.0), (1e6, 1e-6)])
     @pytest.mark.parametrize("seed", [42, 20161121])
     def test_one_chunk_matches_one_shot_bit_for_bit(self, n, rates, seed):
         vals = self.one_shot_values(rates, n, seed)
-        expected = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)))
+        std_error = float(vals.std(ddof=1) / math.sqrt(n))
+        expected = (float(vals.mean()) - math.log(min(rates)), std_error)
         est = entropy_monte_carlo(RatePair(*rates), n, seed)
         assert (est.estimate, est.std_error) == expected
 
@@ -138,7 +152,7 @@ class TestMonteCarlo:
         mean = math.fsum(vals.tolist()) / n
         m2 = math.fsum(((vals - mean) ** 2).tolist())
         est = entropy_monte_carlo(RatePair(*rates), n, seed)
-        assert abs(est.estimate - mean) <= 4 * math.ulp(math.fsum(np.abs(vals).tolist()) / n)
+        self.assert_mean_within_4_ulp(est, vals, rates)
         # M2 within 1e-15 relative, as seen through the square root (which
         # halves a relative error) and the roundings that follow it
         std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
@@ -153,8 +167,7 @@ class TestMonteCarlo:
         n = 1 << 18
         vals = self.one_shot_values((2.0, 1.0), n, seed)
         est = entropy_monte_carlo(RatePair(2.0, 1.0), n, seed)
-        mean = math.fsum(vals.tolist()) / n
-        assert abs(est.estimate - mean) <= 4 * math.ulp(math.fsum(np.abs(vals).tolist()) / n)
+        self.assert_mean_within_4_ulp(est, vals, (2.0, 1.0))
 
     @staticmethod
     def traced_peak(n):
@@ -174,12 +187,14 @@ class TestMonteCarlo:
         assert abs(large - small) <= 8 * MC_CHUNK
 
     def test_non_finite_log_density_raises(self, monkeypatch):
-        def one_inf(d, y):
-            out = hypoexp_log_pdf(d, y)
-            out[min(7, out.size - 1)] = -np.inf
-            return out
+        kernel = dist._unit_kernel
 
-        monkeypatch.setattr(oracle, "hypoexp_log_pdf", one_inf)
+        def one_zero(*args):
+            t, k = kernel(*args)
+            k[min(7, k.size - 1)] = 0.0
+            return t, k
+
+        monkeypatch.setattr(dist, "_unit_kernel", one_zero)
         with pytest.raises(FloatingPointError) as info:
             entropy_monte_carlo(RatePair(3.0, 2.0), 10, seed=5)
         message = str(info.value)
@@ -188,15 +203,16 @@ class TestMonteCarlo:
 
     def test_non_finite_value_in_a_later_chunk_names_its_global_index(self, monkeypatch):
         calls = []
+        kernel = dist._unit_kernel
 
-        def inf_in_second_chunk(d, y):
-            out = hypoexp_log_pdf(d, y)
+        def zero_in_second_chunk(*args):
+            t, k = kernel(*args)
             calls.append(None)
             if len(calls) == 2:
-                out[7] = -np.inf
-            return out
+                k[7] = 0.0
+            return t, k
 
-        monkeypatch.setattr(oracle, "hypoexp_log_pdf", inf_in_second_chunk)
+        monkeypatch.setattr(dist, "_unit_kernel", zero_in_second_chunk)
         with pytest.raises(FloatingPointError) as info:
             entropy_monte_carlo(RatePair(3.0, 2.0), 3 * MC_CHUNK, seed=5)
         assert f"at sample {MC_CHUNK + 7} " in str(info.value)
