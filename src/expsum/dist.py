@@ -24,6 +24,7 @@ import math
 from collections import namedtuple
 
 _DBL_MAX = 1.7976931348623157e308
+_DBL_MIN = 2.2250738585072014e-308  # the smallest normal double
 
 
 def _require_rate(value: float, name: str) -> float:
@@ -68,20 +69,26 @@ def HypoexpTwo(rates: RatePair) -> RatePair:
     return rates
 
 
-def _unit_kernel(rates: RatePair, x, t_per_x, d_per_x):
+def _unit_kernel(rates: RatePair, x, t_per_x, d_per_x, out=None):
     """(t, k) for t = t_per_x x, d = gap y = d_per_x x and k = lambda_hi E:
     the density is f(y) = lambda_lo e^(-t) k in the unit scale t = lambda_lo y.
 
     k = r (1 - e^(-d)) with r = lambda_hi/gap <= 2^53, or t at gap = 0,
     where d is not formed and t is capped at DBL_MAX, so that e^(-t) k is 0,
     not 0 * inf, at t = +inf. t or d overflowing to +inf is exact here.
+    k is written into ``out``, which must not share memory with ``x``, when
+    given; t is ``x`` itself at t_per_x = 1.
     """
     import numpy as np
 
     hi, lo = rates
     with np.errstate(over="ignore"):
-        t = t_per_x * x
-        k = np.minimum(t, _DBL_MAX) if hi == lo else hi / (hi - lo) * -np.expm1(-(d_per_x * x))
+        t = x if t_per_x == 1.0 else t_per_x * x
+        if hi == lo:
+            k = np.minimum(t, _DBL_MAX, out=out)
+        else:
+            k = np.expm1(np.multiply(x, -d_per_x, out=out), out=out)
+            k = np.multiply(k, -(hi / (hi - lo)), out=out)
     return t, k
 
 
@@ -112,8 +119,8 @@ def hypoexp_log_pdf(rates: RatePair, y):
     It stays on E: the kernel's ln lambda_lo - t + ln k is -inf at equal
     rates wherever t = lambda y underflows, e.g. (5e-324, 5e-324) at y = 1e-5,
     on 43 points of ``TestFullDomain``'s grid that this form meets to 4 ulp.
-    It is still -inf at a subnormal y where gap y and E underflow, e.g.
-    (5e-324, 1e-306) at y = 5e-324, true value -2193.47.
+    Where d = gap y is below DBL_MIN, E is y, to a relative error of at most
+    d/2, rather than the quotient of a subnormal (or zero) expm1(-d) by -gap.
     """
     import numpy as np
 
@@ -121,7 +128,12 @@ def hypoexp_log_pdf(rates: RatePair, y):
     arr = np.asarray(y, dtype=float)
     yc = np.maximum(arr, 5e-324)  # moves only y <= 0, which is -inf below
     with np.errstate(divide="ignore", over="ignore"):
-        e = np.minimum(yc if hi == lo else np.expm1((lo - hi) * yc) / (lo - hi), _DBL_MAX)
+        if hi == lo:  # not through d: 0 * inf is nan at y = +inf
+            e = yc
+        else:
+            d = (hi - lo) * yc
+            e = np.where(d < _DBL_MIN, yc, np.expm1(-d) / (lo - hi))
+        e = np.minimum(e, _DBL_MAX)
         val = math.log(hi) + math.log(lo) - lo * yc
         val += np.log(e)
     return _ret(np.where(arr <= 0.0, -np.inf, val), arr)
@@ -147,10 +159,15 @@ def hypoexp_mean(rates: RatePair) -> float:
     return 1.0 / rates.lambda_hi + 1.0 / rates.lambda_lo
 
 
-def exponential_draws(rng: numpy.random.Generator, n: int, rate: float):
+def exponential_draws(rng: numpy.random.Generator, n: int, rate: float, out=None):
     """n inverse-CDF exponential draws, -log(1 - U)/rate, from the next n
-    uniforms U on [0, 1) of ``rng``."""
+    uniforms U on [0, 1) of ``rng``, written into ``out`` (n floats) when given.
+
+    Taken as log1p(-U)/(-rate), which negation and round-to-nearest make
+    bit-identical to -log1p(-U)/rate.
+    """
     import numpy as np
 
-    return -np.log1p(-rng.random(n)) / rate
+    u = np.negative(rng.random(n, out=out), out=out)
+    return np.divide(np.log1p(u, out=out), -rate, out=out)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import mp_entropy
+from expsum import dist
 from expsum.dist import (
     RatePair,
     exponential_draws,
@@ -271,6 +272,15 @@ class TestLogPdf:
         assert hypoexp_log_pdf(d, 0.0) == -math.inf
         assert hypoexp_log_pdf(d, -3.0) == -math.inf
 
+    @pytest.mark.parametrize("pair, y", [((5e-324, 1e-306), 5e-324), ((1.5e-300, 1e-300), 1e-20)])
+    def test_finite_where_gap_y_is_subnormal(self, mp, pair, y):
+        # expm1(-gap y)/-gap is 0 (so ln E = -inf) at the first point, and
+        # keeps about 10 of its 53 bits at the second
+        log_f = float(mp_density(mp, RatePair(*pair), y)[2])
+        if pair == (5e-324, 1e-306):
+            assert log_f == -2193.4711822989407
+        assert abs(hypoexp_log_pdf(RatePair(*pair), y) - log_f) <= 4 * math.ulp(log_f)
+
     @pytest.mark.parametrize("pair", [(1e-310, 5e-311), (1e-323, 5e-324), (1e-310, 1e-310)])
     def test_minus_inf_at_infinity_where_one_over_gap_overflows(self, pair):
         # E = expm1(-gap y)/-gap is 1/gap at y = +inf, past DBL_MAX for these
@@ -320,6 +330,39 @@ class TestMean:
 
     def test_two_unit_mean_summands(self):
         assert hypoexp_mean(RatePair(1.0, 1.0)) == 2.0
+
+
+class TestOutBuffers:
+    """``exponential_draws`` and ``_unit_kernel`` write into a caller's buffer,
+    return it, and give the bits of their allocating form."""
+
+    def test_exponential_draws_fill_out(self):
+        buf = np.empty(1000)
+        for rate in (2.5, 1.0, 1e-300, math.inf):
+            got = exponential_draws(np.random.default_rng(5), 1000, rate, buf)
+            assert got is buf
+            assert buf.tobytes() == exponential_draws(np.random.default_rng(5), 1000, rate).tobytes()
+
+    @pytest.mark.parametrize("pair", [(5.0, 0.3), (2.0, 2.0), (1e-310, 5e-311), (1e12, 1.0)])
+    def test_unit_kernel_fills_out(self, pair):
+        d = RatePair(*pair)
+        hi, lo = d
+        x = np.array(FULL_YS)
+        for t_per_x, d_per_x in ((lo, hi - lo), (1.0, (hi - lo) / lo)):
+            t, k = dist._unit_kernel(d, x, t_per_x, d_per_x)
+            buf = np.empty_like(x)
+            got_t, got_k = dist._unit_kernel(d, x, t_per_x, d_per_x, buf)
+            assert got_k is buf
+            assert (got_t.tobytes(), got_k.tobytes()) == (t.tobytes(), k.tobytes())
+
+    @pytest.mark.parametrize("pair", [(5.0, 0.3), (2.0, 2.0)])
+    def test_unit_kernel_of_a_scalar_is_a_scalar(self, pair):
+        d = RatePair(*pair)
+        hi, lo = d
+        for t_per_x in (1.0, lo):
+            t, k = dist._unit_kernel(d, 0.7, t_per_x, hi - lo)
+            assert isinstance(t, float) and isinstance(k, float)
+        assert type(hypoexp_pdf(d, 0.7)) is type(hypoexp_cdf(d, 0.7)) is float
 
 
 class TestSampling:

@@ -158,6 +158,25 @@ class TestMonteCarlo:
         std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
         assert abs(est.std_error - std_error) <= 0.5e-15 * std_error + 2 * math.ulp(std_error)
 
+    #: float.hex() of (estimate, std_error) at n = 3 MC_CHUNK + 5, from the
+    #: allocating chunk loop that preceded the buffered one; (2, 2) takes the
+    #: kernel's equal-rate branch and (1e-310, 5e-311) has subnormal rates.
+    MULTI_CHUNK_HEX = {
+        ((5.0, 0.3), 1): ("0x1.1efc83533ca0ep+1", "0x1.2054828c7c098p-9"),
+        ((5.0, 0.3), 7): ("0x1.1ebee9c1e16e6p+1", "0x1.1ecee6461ac04p-9"),
+        ((2.0, 2.0), 1): ("0x1.c44be3cc74a8bp-1", "0x1.d8c97068eb9edp-10"),
+        ((2.0, 2.0), 7): ("0x1.c2fe7992ccbcfp-1", "0x1.d68a16693e14cp-10"),
+        ((1e6, 1e-6), 1): ("0x1.da17cdc34b24dp+3", "0x1.27fc418f6b1fdp-9"),
+        ((1e6, 1e-6), 7): ("0x1.da0760c1fea41p+3", "0x1.26772a91f389dp-9"),
+        ((1e-310, 5e-311), 1): ("0x1.65e68811baba5p+9", "0x1.f1768410b0658p-10"),
+        ((1e-310, 5e-311), 7): ("0x1.65e632c201356p+9", "0x1.eedcfa710cf6bp-10"),
+    }
+
+    @pytest.mark.parametrize("rates, seed", list(MULTI_CHUNK_HEX), ids=repr)
+    def test_multi_chunk_estimates_are_pinned_bit_for_bit(self, rates, seed):
+        est = entropy_monte_carlo(RatePair(*rates), 3 * MC_CHUNK + 5, seed)
+        assert (est.estimate.hex(), est.std_error.hex()) == self.MULTI_CHUNK_HEX[rates, seed]
+
     @pytest.mark.parametrize("seed", [42, 20161121])
     def test_many_chunk_sums_add_up_to_the_exact_mean(self, monkeypatch, seed):
         # 2^14 chunks of 16 samples stand in for the 763 chunks of 5e7 samples,
@@ -170,21 +189,25 @@ class TestMonteCarlo:
         self.assert_mean_within_4_ulp(est, vals, (2.0, 1.0))
 
     @staticmethod
-    def traced_peak(n):
-        d = RatePair(2.0, 1.0)
+    def traced_peak(n, rates=(2.0, 1.0), seed=0):
+        d = RatePair(*rates)
+        entropy_monte_carlo(d, 1000, seed)  # set-up outside the trace
         tracemalloc.start()
         try:
-            entropy_monte_carlo(d, n, 0)
+            entropy_monte_carlo(d, n, seed)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_memory_does_not_grow_with_n(self):
-        entropy_monte_carlo(RatePair(2.0, 1.0), 1000, 0)  # set-up outside the trace
         small = self.traced_peak(4 * MC_CHUNK)
         large = self.traced_peak(10**7)
         assert large <= 16 * 8 * MC_CHUNK
         assert abs(large - small) <= 8 * MC_CHUNK
+
+    def test_no_chunk_allocates_an_array(self):
+        # the three chunk buffers (t, k and t - ln k) and 64 KiB of small objects
+        assert self.traced_peak(30 * MC_CHUNK, (5.0, 0.3), 7) <= 3 * 8 * MC_CHUNK + 64 * 1024
 
     def test_non_finite_log_density_raises(self, monkeypatch):
         kernel = dist._unit_kernel
