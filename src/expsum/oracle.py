@@ -28,14 +28,13 @@ lambda_hi/gap), so the tail of g |t - ln k| beyond T is below
 it under a tenth of the tolerance. Only the density kernel is shared with
 the package, never the digamma closed form, so agreement checks the latter.
 
-numpy is imported inside the functions that build arrays, and the
-Gauss-Kronrod tables are built on first use, so importing this module
-does not load numpy.
+numpy is imported inside the functions that build arrays, and
+``_adaptive`` builds its Gauss-Kronrod node and weight arrays on each
+call, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from collections import namedtuple
@@ -93,47 +92,35 @@ _WG = (
 )
 
 
-@functools.cache
-def _gk15():
-    """The Gauss-Kronrod 15(7) panel rule, built once on first use.
-
-    Returns ``panel(f, a, b) -> (kronrod value, error estimate)``.
-    """
-    import numpy as np
-
-    nodes = np.concatenate((-np.array(_XGK[:-1]), np.array(_XGK[::-1])))
-    weights_k = np.concatenate((np.array(_WGK[:-1]), np.array(_WGK[::-1])))
-    weights_g = np.zeros(15)
-    weights_g[[1, 13]] = _WG[0]
-    weights_g[[3, 11]] = _WG[1]
-    weights_g[[5, 9]] = _WG[2]
-    weights_g[7] = _WG[3]
-
-    def panel(f, a: float, b: float) -> tuple[float, float]:
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        fx = np.asarray(f(mid + half * nodes), dtype=float)
-        kronrod = half * float(weights_k @ fx)
-        gauss = half * float(weights_g @ fx)
-        return kronrod, abs(kronrod - gauss)
-
-    return panel
-
-
 def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
-    """Globally adaptive bisection, always splitting the worst panel."""
+    """Globally adaptive bisection with the Gauss-Kronrod 15(7) rule, always
+    splitting the worst panel. f is called once on the four starting panels
+    and once on the two halves of each split."""
     import numpy as np
 
-    gk15 = _gk15()
-    initial = 4
-    edges = np.linspace(a, b, initial + 1)
+    xgk = np.array(_XGK)
+    nodes = np.concatenate((-xgk[:-1], xgk[::-1]))
+    weights_k = np.array(_WGK[:-1] + _WGK[::-1])
+    weights_g = np.zeros(15)
+    weights_g[1::2] = _WG + _WG[-2::-1]
+
+    def panels(edges):
+        """(Kronrod value, |Kronrod - Gauss|) on each panel between consecutive edges."""
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        fx = np.asarray(f((mid[:, None] + half[:, None] * nodes).ravel()), dtype=float)
+        out = []
+        for h, row in zip(half, fx.reshape(-1, 15)):  # 1-D dots: a matmul may reorder sums
+            kronrod = h * float(weights_k @ row)
+            gauss = h * float(weights_g @ row)
+            out.append((kronrod, abs(kronrod - gauss)))
+        return out
+
+    edges = np.linspace(a, b, 5)
     heap = []
-    counter = 0  # tie-breaker so the heap never compares closures
     total_err = 0.0
-    for i in range(initial):
-        val, err = gk15(f, edges[i], edges[i + 1])
-        heap.append((-err, counter, edges[i], edges[i + 1], val))
-        counter += 1
+    for pa, pb, (val, err) in zip(edges[:-1], edges[1:], panels(edges)):
+        heap.append((-err, pa, pb, val))
         total_err += err
     heapq.heapify(heap)
     splits = 0
@@ -141,19 +128,17 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
         if splits >= MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
-                f"after {splits} subdivisions"
+                f"after {splits} subdivisions of [{a!r}, {b!r}] "
+                f"({15 * (4 + 2 * splits)} integrand points)"
             )
-        neg_err, _, pa, pb, _ = heapq.heappop(heap)
+        neg_err, pa, pb, _ = heapq.heappop(heap)  # on a tie, the lower a: panels are disjoint
         mid = 0.5 * (pa + pb)
-        val1, err1 = gk15(f, pa, mid)
-        val2, err2 = gk15(f, mid, pb)
+        (val1, err1), (val2, err2) = panels(np.array([pa, mid, pb]))
         total_err += err1 + err2 + neg_err
-        heapq.heappush(heap, (-err1, counter, pa, mid, val1))
-        counter += 1
-        heapq.heappush(heap, (-err2, counter, mid, pb, val2))
-        counter += 1
+        heapq.heappush(heap, (-err1, pa, mid, val1))
+        heapq.heappush(heap, (-err2, mid, pb, val2))
         splits += 1
-    return math.fsum(panel[4] for panel in heap)
+    return math.fsum(panel[3] for panel in heap)
 
 
 def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
@@ -296,7 +281,6 @@ def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     upper = min(upper, 0.25)
 
     def integrand(xi):
-        xi = np.asarray(xi, dtype=float)
         return xi ** (p - 1.0) * np.log1p(-xi)
 
     value = _adaptive(integrand, lower, 1.0 - upper, tol)

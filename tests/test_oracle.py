@@ -71,6 +71,33 @@ class TestEntropyQuadrature:
         with pytest.raises(ConvergenceError):
             entropy_quadrature(RatePair(2.0, 1.0), abs_tol=1e-30)
 
+    def test_budget_exhaustion_names_interval_and_points(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 0)
+        with pytest.raises(ConvergenceError) as info:
+            entropy_quadrature(RatePair(2.0, 1.0))
+        assert str(info.value) == (
+            "estimated error 2.359e-02 above tolerance 1.000e-10 after 0 subdivisions "
+            "of [0.0, 40.0] (60 integrand points)"
+        )
+
+
+class TestAdaptive:
+    def test_one_integrand_call_per_split(self):
+        # the four starting panels are one call, and each split's two halves another
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x) * np.sin(3.0 * x) ** 2
+
+        value = oracle._adaptive(f, 0.0, 20.0, 1e-12)
+        tail = math.exp(-20.0) * (6.0 * math.sin(120.0) - math.cos(120.0))
+        assert abs(value - (-math.expm1(-20.0) / 2.0 - (1.0 + tail) / 74.0)) < 1e-11
+        assert len(sizes) > 1
+        assert sizes[0] == 60
+        assert set(sizes[1:]) == {30}
+        assert sum(sizes) == 15 * (4 + 2 * (len(sizes) - 1))
+
 
 class TestNormalization:
     def test_unit_mass_across_grid(self):
