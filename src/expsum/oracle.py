@@ -3,9 +3,9 @@
 Three oracles, none of which share code paths with the closed-form
 entropy expressions:
 
-* ``entropy_quadrature`` integrates -f ln f directly with an adaptive
-  Gauss-Kronrod rule over a truncated domain whose tail is bounded
-  analytically.
+* ``entropy_quadrature`` integrates -f ln f directly, like the other two
+  quadratures by adaptive Gauss-Kronrod on [0, T], T the smallest doubling
+  of 20 at which an analytic tail bound drops below a tenth of abs_tol.
 * ``entropy_monte_carlo`` is the resubstitution estimator
   -(1/n) sum ln f(Y_i) over seeded samples drawn from f itself, taken in
   the unit scale as -ln lambda_lo + (1/n) sum (t_i - ln k_i).
@@ -24,9 +24,8 @@ t (gap/lambda_lo), one domain [0, T] serves every rate pair: for t >= 1,
 1 <= k <= 2t (k grows with t, is (1 + x)(1 - e^(-x))/x >= 1 at t = 1 for
 x = gap/lambda_lo, and is at most t lambda_hi/lambda_lo and at most
 lambda_hi/gap), so the tail of g |t - ln k| beyond T is below
-2 e^(-T) (T^2 + 2T + 2), and T is the smallest doubling of 20 that puts
-it under a tenth of the tolerance. Only the density kernel is shared with
-the package, never the digamma closed form, so agreement checks the latter.
+2 e^(-T) (T^2 + 2T + 2). Only the density kernel is shared with the
+package, never the digamma closed form, so agreement checks the latter.
 
 numpy is imported inside the functions that build arrays, and
 ``_adaptive`` builds its Gauss-Kronrod node and weight arrays on each
@@ -45,7 +44,9 @@ from .specfun import _require_positive
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the subdivision budget runs out before reaching tolerance."""
+    """Raised when a quadrature cannot reach its tolerance: the tail bound stays above a tenth
+    of it at every T tried (or v/u < DBL_MIN), the error estimate is not finite, or the
+    subdivision budget runs out."""
 
 
 #: A Monte-Carlo estimate with its standard error and sample count.
@@ -124,8 +125,8 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
         total_err += err
     heapq.heapify(heap)
     splits = 0
-    while total_err > abs_tol:
-        if splits >= MAX_SUBDIVISIONS:
+    while not total_err <= abs_tol:  # a nan estimate is not convergence
+        if splits >= MAX_SUBDIVISIONS or not math.isfinite(total_err):
             raise ConvergenceError(
                 f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
                 f"after {splits} subdivisions of [{a!r}, {b!r}] "
@@ -141,30 +142,35 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
     return math.fsum(panel[3] for panel in heap)
 
 
+def _tail_bounded(f, tail, abs_tol: float) -> float:
+    """int_0^T f by ``_adaptive``, T the least doubling of 20 with tail(T) < abs_tol/10."""
+    t_max = 20.0
+    while tail(t_max) >= abs_tol / 10.0:
+        if t_max > 2000.0:
+            raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
+        t_max *= 2.0
+    return _adaptive(f, 0.0, t_max, abs_tol)
+
+
 def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
     """int_0^T integrand(t, g, k) dt over the unit scale, with T from the tail
     bound, (t, k) from ``dist._unit_kernel`` at d = t (gap/lambda_lo) and g = e^(-t) k."""
     import numpy as np
 
     abs_tol = _require_positive(abs_tol, "abs_tol")
-    t_max = 20.0
-    while 2.0 * math.exp(-t_max) * (t_max * t_max + 2.0 * t_max + 2.0) >= abs_tol / 10.0:
-        if t_max > 2000.0:
-            raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
-        t_max *= 2.0
     per_t = (rates.lambda_hi - rates.lambda_lo) / rates.lambda_lo  # not t/lambda_lo: overflows
 
     def unit_integrand(x):
         t, k = dist._unit_kernel(rates, x, 1.0, per_t)
         return integrand(t, np.exp(-t) * k, k)
 
-    return _adaptive(unit_integrand, 0.0, t_max, abs_tol)
+    tail = lambda t: 2.0 * math.exp(-t) * (t * t + 2.0 * t + 2.0)  # noqa: E731
+    return _tail_bounded(unit_integrand, tail, abs_tol)
 
 
 def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
     """Differential entropy -int f ln f of the sum at ``rates``, by adaptive quadrature
-    of -ln lambda_lo + int_0^T g (t - ln k) dt, with 0 ln 0 = 0 where k vanishes.
-    Raises ConvergenceError if the subdivision budget is exhausted."""
+    of -ln lambda_lo + int_0^T g (t - ln k) dt, with 0 ln 0 = 0 where k vanishes."""
     import numpy as np
 
     def integrand(t, g, k):
@@ -259,29 +265,23 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
 def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     """Numerically evaluate int_0^inf exp(-u x) ln(1 - exp(-v x)) dx.
 
-    The substitution xi = exp(-v x) turns this into
-    (1/v) int_0^1 xi^(u/v - 1) ln(1 - xi) d(xi), removing the infinite
-    domain; both endpoints are integrable singularities and are trimmed
-    by slivers with analytic mass bounds below a tenth of the tolerance:
-        lower: int_0^d xi^(p-1) |ln(1-xi)| dxi <= 2 d^(p+1)/(p+1),
-        upper: int_{1-d}^1 ... <= 2 d (1 - ln d),
-    both for d <= 1/4 (with p = u/v). The closed form this should match
-    is -(gamma + psi(u/v + 1))/u.
+    In the scale s = c x, c = max(u, v), a = u/c, b = v/c, it is (1/c) int_0^T e^(-a s)
+    ln(1 - e^(-b s)) ds, whose tail beyond T is below e^(-(a+b) T) / ((a+b) (1 - e^(-b T)))
+    as -ln(1 - z) <= z/(1 - z); the error is about abs_tol/max(u, v). Raises ConvergenceError
+    where b < DBL_MIN (u/v > 4.5e307). It should match -(gamma + psi(u/v + 1))/u.
     """
     import numpy as np
 
     u = _require_positive(u, "u")
     v = _require_positive(v, "v")
     tol = _require_positive(abs_tol, "abs_tol")
-    p = u / v
-    lower = min(((p + 1.0) * tol / 20.0) ** (1.0 / (p + 1.0)), 0.25)
-    upper = tol / 20.0
-    for _ in range(30):  # fixed point of d = tol / (20 (1 - ln d))
-        upper = tol / (20.0 * (1.0 - math.log(upper)))
-    upper = min(upper, 0.25)
+    c = max(u, v)
+    a, b = u / c, v / c
+    if b < 2.0**-1022:  # DBL_MIN
+        raise ConvergenceError(f"v/u below DBL_MIN at u = {u!r}, v = {v!r}")
 
-    def integrand(xi):
-        return xi ** (p - 1.0) * np.log1p(-xi)
+    def integrand(s):
+        return np.exp(-a * s) * np.log(-np.expm1(-b * s))
 
-    value = _adaptive(integrand, lower, 1.0 - upper, tol)
-    return value / v
+    tail = lambda t: math.exp(-(a + b) * t) / ((a + b) * -math.expm1(-b * t))  # noqa: E731
+    return _tail_bounded(integrand, tail, tol) / c

@@ -2,6 +2,8 @@
 pass/fail line per criterion at the end of the run, and holds the mpmath
 reference shared by the accuracy tests."""
 
+import math
+
 import pytest
 
 ACCEPTANCE_RESULTS = []
@@ -40,3 +42,14 @@ def mp_entropy(mp, rate_a, rate_b):
         r = hi / (hi - lo)
         h += mp.digamma(r) - mp.log(r)
     return h
+
+
+def mp_log_integral(mp, u, v):
+    """int_0^inf e^(-ux) ln(1 - e^(-vx)) dx = -(gamma + psi(u/v + 1))/u at the
+    exact binary u and v, as an mpmath number. Where u < v the precision
+    grows by log10(v/u) digits, since gamma + psi(1 + u/v) cancels to about
+    zeta(2) u/v, which 1 + u/v must still hold; rounded up to a multiple of
+    100, so that few precisions recompute mpmath's Bernoulli numbers."""
+    u, v = mp.mpf(u), mp.mpf(v)
+    with mp.extradps(max(0, 100 * math.ceil(mp.log10(v / u) / 100))):
+        return -(mp.euler + mp.digamma(u / v + 1)) / u

@@ -2,11 +2,14 @@
 
 import inspect
 import math
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import mp_log_integral
 from expsum import dist, oracle
 from expsum.dist import RatePair, exponential_draws
 from expsum.entropy import erlang2_entropy
@@ -97,6 +100,17 @@ class TestAdaptive:
         assert sizes[0] == 60
         assert set(sizes[1:]) == {30}
         assert sum(sizes) == 15 * (4 + 2 * (len(sizes) - 1))
+
+    def test_nan_error_estimate_is_not_convergence(self):
+        with pytest.raises(ConvergenceError) as info:
+            oracle._adaptive(lambda x: np.where(x > 3.0, np.nan, 1.0), 0, 4, 1e-10)
+        assert "estimated error nan" in str(info.value)
+        assert "of [0, 4]" in str(info.value)
+
+    def test_infinite_integrand_is_not_convergence(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as info:
+            oracle._adaptive(lambda x: np.where(x > 3.0, np.inf, 1.0), 0, 4, 1e-10)
+        assert "after 0 subdivisions of [0, 4]" in str(info.value)
 
 
 class TestNormalization:
@@ -289,3 +303,39 @@ class TestGrLogIntegral:
             gr_log_integral(bad, 1.0)
         with pytest.raises(ValueError):
             gr_log_integral(1.0, bad)
+
+    def test_subnormal_tolerance_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            gr_log_integral(1.0, 1.0, abs_tol=5e-324)
+        assert time.perf_counter() - start < 1.0
+
+    def test_tolerance_below_double_resolution_raises(self):
+        with pytest.raises(ConvergenceError):
+            gr_log_integral(1.0, 1.0, abs_tol=1e-30)
+
+    #: Rates from the smallest subnormal to DBL_MAX; every ordered pair is a case.
+    FULL_DOMAIN_RATES = (
+        5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-150, 1e-12, 1e-6, 1e-5, 1e-3, 0.37,
+        1.0, 2.0, 1e3, 1e5, 1e6, 1e12, 1e150, 1e300, 1e308, sys.float_info.max,
+    )
+
+    def test_matches_mpmath_on_the_full_domain(self, mp):
+        """Within abs_tol/max(u, v) + 1e-13 |true| of mpmath wherever the true value is
+        a finite double; ConvergenceError is allowed only where v/u < DBL_MIN."""
+        tol = 1e-10
+        misses = []
+        for u in self.FULL_DOMAIN_RATES:
+            for v in self.FULL_DOMAIN_RATES:
+                exact = mp_log_integral(mp, u, v)
+                if not abs(exact) <= sys.float_info.max:
+                    continue
+                try:
+                    value = gr_log_integral(u, v, abs_tol=tol)
+                except ConvergenceError:
+                    if v / u < sys.float_info.min:
+                        continue
+                    raise
+                if not abs(value - exact) <= tol / max(u, v) + 1e-13 * abs(exact):
+                    misses.append((u, v, value, float(exact)))
+        assert misses == []
