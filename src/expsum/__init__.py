@@ -9,8 +9,6 @@ and Monte-Carlo oracles and a CLI that reproduces the figure data sets.
 from .dist import (
     RatePair,
     hypoexp_cdf,
-    hypoexp_log_pdf,
-    hypoexp_mean,
     hypoexp_pdf,
 )
 from .entropy import (
@@ -48,8 +46,6 @@ __all__ = [
     "gr_log_integral",
     "hypoexp_cdf",
     "hypoexp_entropy",
-    "hypoexp_log_pdf",
-    "hypoexp_mean",
     "hypoexp_pdf",
     "mean_constrained_rates",
     "mutual_info_aen",

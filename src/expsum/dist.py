@@ -12,7 +12,7 @@ familiar difference of exponentials for distinct rates and the Erlang-2
 density at equal rates, with no cancellation and no switch between the
 two, however small the gap. In the unit scale t = lambda_lo y it reads
 f = lambda_lo e^(-t) k with k = lambda_hi E, the kernel that the pdf, the
-CDF, both quadratures and Monte Carlo share; the log-density uses E itself.
+CDF, both quadratures and Monte Carlo share.
 
 numpy is imported inside the array functions, not at module level, so
 that importing the package for its scalar closed forms does not load it.
@@ -24,7 +24,6 @@ import math
 from collections import namedtuple
 
 _DBL_MAX = 1.7976931348623157e308
-_DBL_MIN = 2.2250738585072014e-308  # the smallest normal double
 
 
 def _require_rate(value: float, name: str) -> float:
@@ -106,39 +105,6 @@ def hypoexp_pdf(rates: RatePair, y):
     return _ret(np.where(arr < 0.0, 0.0, lo * (np.exp(-t) * k)), arr)
 
 
-def hypoexp_log_pdf(rates: RatePair, y):
-    """Natural log of the density, stable far into both tails:
-    ln lambda_hi + ln lambda_lo - lambda_lo y + ln E.
-
-    ln E is taken of E itself, not as ln(-expm1(-gap y)) - ln(gap): for
-    relative gaps near 1e-15 those two logarithms are near -36 and their
-    difference loses about 4 bits. E is capped at DBL_MAX, so that at
-    y = +inf the sum is -inf, not -inf + inf, also where 1/gap overflows.
-    Returns -inf where the density is 0 (y <= 0).
-
-    It stays on E: the kernel's ln lambda_lo - t + ln k is -inf at equal
-    rates wherever t = lambda y underflows, e.g. (5e-324, 5e-324) at y = 1e-5,
-    on 43 points of ``TestFullDomain``'s grid that this form meets to 4 ulp.
-    Where d = gap y is below DBL_MIN, E is y, to a relative error of at most
-    d/2, rather than the quotient of a subnormal (or zero) expm1(-d) by -gap.
-    """
-    import numpy as np
-
-    hi, lo = rates
-    arr = np.asarray(y, dtype=float)
-    yc = np.maximum(arr, 5e-324)  # moves only y <= 0, which is -inf below
-    with np.errstate(divide="ignore", over="ignore"):
-        if hi == lo:  # not through d: 0 * inf is nan at y = +inf
-            e = yc
-        else:
-            d = (hi - lo) * yc
-            e = np.where(d < _DBL_MIN, yc, np.expm1(-d) / (lo - hi))
-        e = np.minimum(e, _DBL_MAX)
-        val = math.log(hi) + math.log(lo) - lo * yc
-        val += np.log(e)
-    return _ret(np.where(arr <= 0.0, -np.inf, val), arr)
-
-
 def hypoexp_cdf(rates: RatePair, y):
     """Cumulative distribution of the sum at ``y``; 0 for y < 0, -> 1 as y grows.
 
@@ -152,11 +118,6 @@ def hypoexp_cdf(rates: RatePair, y):
     t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
     val = np.clip(-np.expm1(-t) - lo / hi * (np.exp(-t) * k), 0.0, 1.0)
     return _ret(np.where(arr < 0.0, 0.0, val), arr)
-
-
-def hypoexp_mean(rates: RatePair) -> float:
-    """E[Y] = 1/lambda_hi + 1/lambda_lo, by linearity of expectation."""
-    return 1.0 / rates.lambda_hi + 1.0 / rates.lambda_lo
 
 
 def exponential_draws(rng: numpy.random.Generator, n: int, rate: float, out=None):

@@ -120,25 +120,27 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
     edges = np.linspace(a, b, 5)
     heap = []
     total_err = 0.0
-    for pa, pb, (val, err) in zip(edges[:-1], edges[1:], panels(edges)):
-        heap.append((-err, pa, pb, val))
-        total_err += err
-    heapq.heapify(heap)
-    splits = 0
-    while not total_err <= abs_tol:  # a nan estimate is not convergence
-        if splits >= MAX_SUBDIVISIONS or not math.isfinite(total_err):
-            raise ConvergenceError(
-                f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
-                f"after {splits} subdivisions of [{a!r}, {b!r}] "
-                f"({15 * (4 + 2 * splits)} integrand points)"
-            )
-        neg_err, pa, pb, _ = heapq.heappop(heap)  # on a tie, the lower a: panels are disjoint
-        mid = 0.5 * (pa + pb)
-        (val1, err1), (val2, err2) = panels(np.array([pa, mid, pb]))
-        total_err += err1 + err2 + neg_err
-        heapq.heappush(heap, (-err1, pa, mid, val1))
-        heapq.heappush(heap, (-err2, mid, pb, val2))
-        splits += 1
+    # an inf at a node meets a zero Gauss weight: the nan is reported below, not warned
+    with np.errstate(invalid="ignore"):
+        for pa, pb, (val, err) in zip(edges[:-1], edges[1:], panels(edges)):
+            heap.append((-err, pa, pb, val))
+            total_err += err
+        heapq.heapify(heap)
+        splits = 0
+        while not total_err <= abs_tol:  # a nan estimate is not convergence
+            if splits >= MAX_SUBDIVISIONS or not math.isfinite(total_err):
+                raise ConvergenceError(
+                    f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
+                    f"after {splits} subdivisions of [{a!r}, {b!r}] "
+                    f"({15 * (4 + 2 * splits)} integrand points)"
+                )
+            neg_err, pa, pb, _ = heapq.heappop(heap)  # on a tie, the lower a: panels are disjoint
+            mid = 0.5 * (pa + pb)
+            (val1, err1), (val2, err2) = panels(np.array([pa, mid, pb]))
+            total_err += err1 + err2 + neg_err
+            heapq.heappush(heap, (-err1, pa, mid, val1))
+            heapq.heappush(heap, (-err2, mid, pb, val2))
+            splits += 1
     return math.fsum(panel[3] for panel in heap)
 
 

@@ -595,3 +595,11 @@ print(loaded)
         exec("from expsum import *", namespace)
         assert set(expsum.__all__) <= namespace.keys()
         assert set(expsum.__all__) <= vars(expsum).keys()
+        # the public surface: a new or removed name is a deliberate change here
+        assert sorted(expsum.__all__) == [
+            "ConvergenceError", "EULER_GAMMA", "EstimateWithError", "RatePair", "__version__",
+            "cond_entropy_light", "digamma", "digamma_minus_log", "entropy_monte_carlo",
+            "entropy_quadrature", "erlang2_entropy", "exp_entropy", "gr_log_integral",
+            "hypoexp_cdf", "hypoexp_entropy", "hypoexp_pdf", "mean_constrained_rates",
+            "mutual_info_aen", "normalization_quadrature",
+        ]

@@ -1,4 +1,5 @@
-"""Distribution objects: densities, CDF, moments, seeded exponential draws."""
+"""RatePair, the pdf and CDF of the two-phase law, the unit-scale kernel's
+out buffers, and seeded exponential draws."""
 
 import functools
 import math
@@ -12,8 +13,6 @@ from expsum.dist import (
     RatePair,
     exponential_draws,
     hypoexp_cdf,
-    hypoexp_log_pdf,
-    hypoexp_mean,
     hypoexp_pdf,
 )
 from expsum.entropy import erlang2_entropy, hypoexp_entropy
@@ -69,33 +68,24 @@ class TestRatePair:
 
 
 def mp_density(mp, d, y):
-    """pdf, cdf, log-pdf and ln E(gap, y) of ``d`` at ``y`` from mpmath, at
-    the exact binary rates and point."""
+    """pdf and cdf of ``d`` at ``y`` from mpmath, at the exact binary rates
+    and point."""
     hi, lo, y = mp.mpf(d.lambda_hi), mp.mpf(d.lambda_lo), mp.mpf(y)
     gap = hi - lo
     e = y if gap == 0 else -mp.expm1(-gap * y) / gap
     pdf = hi * lo * mp.exp(-lo * y) * e
-    return pdf, 1 - mp.exp(-lo * y) * (1 + lo * e), mp.log(pdf), mp.log(e)
+    return pdf, 1 - mp.exp(-lo * y) * (1 + lo * e)
 
 
 def assert_density_matches_mpmath(mp, d, ys):
     """pdf to 1e-15 relative (times lambda_lo y, the condition number of
-    exp(-lambda_lo y)), cdf to 1e-15 absolute, and log-pdf to 4 ulp of the
-    largest of its terms ln lambda_hi, ln lambda_lo, lambda_lo y and ln E."""
-    hi, lo = d.lambda_hi, d.lambda_lo
+    exp(-lambda_lo y)) and cdf to 1e-15 absolute."""
     ys = np.asarray(ys, dtype=float)
-    for y, pdf, cdf, log_pdf in zip(
-        ys.tolist(),
-        hypoexp_pdf(d, ys).tolist(),
-        hypoexp_cdf(d, ys).tolist(),
-        hypoexp_log_pdf(d, ys).tolist(),
-    ):
-        f, big_f, log_f, log_e = mp_density(mp, d, y)
-        t = lo * y
+    for y, pdf, cdf in zip(ys.tolist(), hypoexp_pdf(d, ys).tolist(), hypoexp_cdf(d, ys).tolist()):
+        f, big_f = mp_density(mp, d, y)
+        t = d.lambda_lo * y
         assert abs(pdf - f) <= 1e-15 * max(1.0, t) * f, (d, y)
         assert abs(cdf - big_f) <= 1e-15, (d, y)
-        largest = max(abs(math.log(hi)), abs(math.log(lo)), t, abs(float(log_e)))
-        assert abs(log_pdf - log_f) <= 4.0 * math.ulp(largest), (d, y)
 
 
 class TestEqualRates:
@@ -111,21 +101,16 @@ class TestEqualRates:
         np.testing.assert_allclose(
             hypoexp_cdf(d, ys), -np.expm1(-t) - t * np.exp(-t), rtol=1e-15
         )
-        np.testing.assert_allclose(
-            hypoexp_log_pdf(d, ys), math.log(lam) + np.log(t) - t, rtol=1e-15, atol=1e-15
-        )
         assert hypoexp_entropy(d) == erlang2_entropy(lam)
 
     def test_far_tail_where_lambda_y_overflows(self):
-        # k = lambda y at equal rates overflows here: inf * 0 would be nan, and
-        # -lambda y + ln y would be -inf + inf
+        # k = lambda y at equal rates overflows here: inf * 0 would be nan
         cases = [(2.0, 1e308), (1e10, 1e300), (1e300, 1e10), (1.0, math.inf)]
         cases += [(lam, math.inf) for lam in np.geomspace(1e-300, 1e300, 61).tolist()]
         cases += [(lam, math.inf) for lam in (5e-324, 1e-323, 1e-310, 1e-306, 4e-306, DBL_MAX)]
         for lam, y in cases:
             d = RatePair(lam, lam)
             assert hypoexp_pdf(d, y) == 0.0 and hypoexp_cdf(d, y) == 1.0, (lam, y)
-            assert hypoexp_log_pdf(d, y) == -math.inf, (lam, y)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
@@ -199,6 +184,16 @@ class TestFullDomain:
             sub = 2.0**-1074 * (1.0 + (1.0 if gap == 0 else float(big_l / gap)))
             assert abs(c - big_f) <= 1e-15 * -mp.expm1(-big_l * big_y) + sub, (d, y, c)
 
+    def test_pdf_and_cdf_match_mpmath_on_random_pairs(self, mp):
+        """60 seeded pairs with lambda_lo in [1e-6, 1e6]: relative gaps from
+        1e-15 to 1e-3, ratios up to 1e6 and equal rates, 20 points each."""
+        rng = np.random.default_rng(9)
+        for kind in range(60):
+            lo = 10.0 ** rng.uniform(-6, 6)
+            hi = lo * (1.0 + 10.0 ** rng.uniform(-15, -3), 10.0 ** rng.uniform(0, 6), 1.0)[kind % 3]
+            ys = 10.0 ** rng.uniform(-12, 1.7, 20) / lo
+            assert_density_matches_mpmath(mp, RatePair(hi, lo), ys)
+
     def test_ratio_past_dbl_max(self):
         # lambda_lo E alone underflows to 0 here; the pdf is 1e-200 e^(-1)
         pdf = hypoexp_pdf(RatePair(1e200, 1e-200), 1e200)
@@ -244,50 +239,6 @@ class TestPdf:
         np.testing.assert_allclose(hypoexp_pdf(d, ys), ys * np.exp(-ys), rtol=1e-14)
 
 
-class TestLogPdf:
-    def test_matches_log_of_pdf(self):
-        for d in (RatePair(2.0, 1.0), RatePair(10.0, 0.3)):
-            ys = np.geomspace(0.01, 50.0, 60)
-            np.testing.assert_allclose(
-                np.exp(hypoexp_log_pdf(d, ys)), hypoexp_pdf(d, ys), rtol=1e-12
-            )
-
-    def test_degenerate_matches_log_of_pdf(self):
-        d = RatePair(1.0, 1.0)
-        ys = np.geomspace(0.01, 40.0, 40)
-        np.testing.assert_allclose(
-            np.exp(hypoexp_log_pdf(d, ys)), hypoexp_pdf(d, ys), rtol=1e-12
-        )
-
-    def test_matches_mpmath_over_the_domain(self, mp):
-        rng = np.random.default_rng(9)
-        for kind in range(60):
-            lo = 10.0 ** rng.uniform(-6, 6)
-            hi = lo * (1.0 + 10.0 ** rng.uniform(-15, -3), 10.0 ** rng.uniform(0, 6), 1.0)[kind % 3]
-            ys = 10.0 ** rng.uniform(-12, 1.7, 20) / lo
-            assert_density_matches_mpmath(mp, RatePair(hi, lo), ys)
-
-    def test_minus_inf_outside_support(self):
-        d = RatePair(2.0, 1.0)
-        assert hypoexp_log_pdf(d, 0.0) == -math.inf
-        assert hypoexp_log_pdf(d, -3.0) == -math.inf
-
-    @pytest.mark.parametrize("pair, y", [((5e-324, 1e-306), 5e-324), ((1.5e-300, 1e-300), 1e-20)])
-    def test_finite_where_gap_y_is_subnormal(self, mp, pair, y):
-        # expm1(-gap y)/-gap is 0 (so ln E = -inf) at the first point, and
-        # keeps about 10 of its 53 bits at the second
-        log_f = float(mp_density(mp, RatePair(*pair), y)[2])
-        if pair == (5e-324, 1e-306):
-            assert log_f == -2193.4711822989407
-        assert abs(hypoexp_log_pdf(RatePair(*pair), y) - log_f) <= 4 * math.ulp(log_f)
-
-    @pytest.mark.parametrize("pair", [(1e-310, 5e-311), (1e-323, 5e-324), (1e-310, 1e-310)])
-    def test_minus_inf_at_infinity_where_one_over_gap_overflows(self, pair):
-        # E = expm1(-gap y)/-gap is 1/gap at y = +inf, past DBL_MAX for these
-        # gaps: uncapped, the sum is -inf + inf = nan with a RuntimeWarning
-        assert hypoexp_log_pdf(RatePair(*pair), math.inf) == -math.inf
-
-
 class TestCdf:
     def test_zero_at_origin_and_below(self):
         d = RatePair(2.0, 1.0)
@@ -321,15 +272,6 @@ class TestCdf:
         d = RatePair(1.0, 1.0)
         for y in (0.5, 2.0, 6.0):
             assert abs(hypoexp_cdf(d, y) - quad(functools.partial(hypoexp_pdf, d), 0.0, y)) < 1e-10
-
-
-class TestMean:
-    def test_unit_mean_pairs(self):
-        assert hypoexp_mean(RatePair(2.0, 2.0)) == 1.0
-        assert abs(hypoexp_mean(RatePair(5.0, 1.25)) - 1.0) < 1e-15
-
-    def test_two_unit_mean_summands(self):
-        assert hypoexp_mean(RatePair(1.0, 1.0)) == 2.0
 
 
 class TestOutBuffers:
@@ -406,12 +348,11 @@ class TestSampling:
 class TestSingleRateFamilies:
     """Erlang-2 is the two-phase law at equal rates."""
 
-    def test_erlang2_pdf_and_mean(self):
+    def test_erlang2_pdf(self):
         e = RatePair(1.0, 1.0)
         assert hypoexp_pdf(e, 0.0) == 0.0
         assert abs(hypoexp_pdf(e, 2.0) - 2.0 * math.exp(-2.0)) < 1e-15
         assert hypoexp_pdf(e, -0.5) == 0.0
-        assert hypoexp_mean(e) == 2.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_validation(self, bad):
