@@ -181,30 +181,30 @@ def _fig2_columns(grid_points: int):
     return header, columns
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return _fmt17(value)
+def _csv_column(column) -> list:
+    """The CSV text of each cell of a column: "" for None, a str itself, and
+    for a number its _fmt17 text, by the bulk rule of ``_render_csv``."""
+    numbers = [v for v in column if v is not None and not isinstance(v, str)]
+    text = ("%#.17g\n" * len(numbers) % tuple(numbers)).split("\n")[:-1]
+    for i, s in enumerate(text):
+        if "e" in s or s[-1] == "0" and s.startswith(("0.", "-0.")):
+            text[i] = _fmt17(numbers[i])
+    if len(numbers) == len(column):
+        return text
+    text = iter(text)
+    return ["" if v is None else v if isinstance(v, str) else next(text) for v in column]
 
 
 def _render_csv(header, columns) -> str:
     """CSV text of equal-length columns, one line per row.
 
-    Each distinct value is formatted once, through a memo shared by all
-    columns. A dict key cannot tell 0.0 from -0.0, so a column holding a
-    zero is formatted value by value.
+    The numbers of a column are formatted by one bulk ``"%#.17g"``. _fmt17
+    starts from that same text and rewrites it only where it has an
+    exponent or ends in "0" below 1 in magnitude, so only the cells with an
+    "e", or a trailing "0" after a leading "0." or "-0.", go through _fmt17.
+    A number's text holds no newline, so splitting the bulk text is exact.
     """
-    memo = {}
-    cells = []
-    for column in columns:
-        distinct = set(column)
-        if 0.0 in distinct:
-            cells.append(list(map(_csv_cell, column)))
-        else:
-            memo.update({v: _csv_cell(v) for v in distinct - memo.keys()})
-            cells.append(list(map(memo.__getitem__, column)))
+    cells = map(_csv_column, columns)
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 

@@ -113,7 +113,7 @@ def mutual_info_aen(signal_rate: float, noise_rate: float) -> float:
     and h(W) never cancel numerically, and at equal rates the value is
     exactly gamma. (-log1p(-w) would equal the logarithm but loses digits
     as w approaches 1.) When the signal is faster than the noise by more
-    than a factor of 11, gamma + T(w) itself cancels, as T(w) -> -gamma;
+    than a factor of 6, gamma + T(w) itself cancels, as T(w) -> -gamma;
     there it is the series in e = lambda_lo/(lambda_hi - lambda_lo) of
     ``_near_one_tail``, which keeps full relative accuracy. Always
     nonnegative.
@@ -124,7 +124,7 @@ def mutual_info_aen(signal_rate: float, noise_rate: float) -> float:
     if noise_rate > signal_rate:
         return EULER_GAMMA + _log_ratio(hi, lo) + _tail(hi, lo)
     gap = hi - lo
-    if 10.0 * lo <= gap:  # e <= 1/10, the range of _near_one_tail
+    if 5.0 * lo <= gap:  # e <= 1/5, the range of _near_one_tail
         return _near_one_tail(lo / gap)
     return EULER_GAMMA + _tail(hi, lo)
 

@@ -471,6 +471,24 @@ numpy_positional = functools.partial(
 )
 
 
+def format_sweep():
+    """Seeded doubles from every class the formatter branches on."""
+    rng = np.random.default_rng(20161121)
+    powers = 10.0 ** np.arange(-323, 309)
+    return np.concatenate((
+        rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-323, 308.2, 50_000),
+        -(10.0 ** rng.uniform(-8, 20, 60_000)),
+        rng.integers(-10**6, 10**6, 30_000) / 10.0 ** rng.integers(1, 9, 30_000),
+        rng.integers(1, 2**52, 5_000) * 2.0**-1074,
+        rng.uniform(1e15, 1e18, 10_000),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e16,
+         np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 1e17, 1e-4,
+         np.nextafter(1e-4, 0.0)],
+    )).tolist()
+
+
 class TestFormat17:
     def test_documented_cases(self):
         assert _fmt17(0.5) == "0.5000000000000000"
@@ -481,25 +499,25 @@ class TestFormat17:
         assert [_fmt17(v) for v in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]
 
     def test_matches_numpy_positional(self):
-        # seeded doubles from every class the formatter branches on
-        rng = np.random.default_rng(20161121)
-        powers = 10.0 ** np.arange(-323, 309)
-        values = np.concatenate((
-            rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
-            10.0 ** rng.uniform(-323, 308.2, 50_000),
-            -(10.0 ** rng.uniform(-8, 20, 60_000)),
-            rng.integers(-10**6, 10**6, 30_000) / 10.0 ** rng.integers(1, 9, 30_000),
-            rng.integers(1, 2**52, 5_000) * 2.0**-1074,
-            rng.uniform(1e15, 1e18, 10_000),
-            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
-            [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e16,
-             np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 1e17, 1e-4,
-             np.nextafter(1e-4, 0.0)],
-        )).tolist()
+        values = format_sweep()
         assert len(values) >= 200_000
         ours = list(map(_fmt17, values))
         theirs = list(map(numpy_positional, values))
         assert [(v, a, b) for v, a, b in zip(values, ours, theirs) if a != b] == []
+
+    def test_bulk_column_matches_fmt17(self):
+        values = format_sweep()
+        assert cli._csv_column(values) == list(map(_fmt17, values))
+
+    def test_bulk_column_matches_fmt17_on_mixed_numbers(self):
+        # a dyadic k/2^j with fewer than 17 digits prints exactly, so its
+        # 17-digit text ends in zeros, with and without an exponent
+        dyadics = [k / 2.0**j for j in range(1, 40, 3) for k in (1, -3, 5, -7, 4097)]
+        zeros = [t for t in ("%#.17g" % v for v in dyadics) if t.endswith("0")]
+        assert any("e" in t for t in zeros) and any(t.startswith("-0.") for t in zeros)
+        values = [1, True, -0.0, 0.0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                  math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 1e16, 1e17, *dyadics]
+        assert cli._csv_column(values) == list(map(_fmt17, values))
 
 
 def csv_reference(header, columns):

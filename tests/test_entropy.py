@@ -152,14 +152,20 @@ class TestAgainstMpmath:
                 assert abs(mutual_info_aen(signal, noise) - exact) <= 5e-15
 
     @pytest.mark.parametrize(
-        "ratios, count, seed", [((2.0, 300.0), 3000, 7), ((math.log10(11.0), 2.0), 300, 8)]
+        "ratios, count, seed",
+        [
+            ((2.0, 300.0), 3000, 7),
+            ((math.log10(11.0), 2.0), 300, 8),
+            ((math.log10(6.0), math.log10(11.0)), 300, 9),
+        ],
     )
     def test_mutual_information_relative_error_for_a_much_faster_signal(
         self, mp, ratios, count, seed
     ):
-        # 3,000 pairs at signal/noise ratios 1e2 to 1e300, 300 from 11 to 1e2,
-        # where I = gamma + psi(1 + e) - ln(1 + e), e = noise/(signal - noise),
-        # vanishes like 0.645 e; mpmath gets 40 digits beyond those of e
+        # 3,000 pairs at signal/noise ratios 1e2 to 1e300, 300 from 11 to 1e2
+        # and 300 from 6 to 11, where I = gamma + psi(1 + e) - ln(1 + e),
+        # e = noise/(signal - noise), vanishes like 0.645 e; mpmath gets 40
+        # digits beyond those of e
         rng = np.random.default_rng(seed)
         noise = 10.0 ** rng.uniform(-150, 7, count)
         signal = noise * 10.0 ** rng.uniform(*ratios, count)
@@ -167,7 +173,7 @@ class TestAgainstMpmath:
             with mp.workdps(40 + int(math.log10(s / n))):
                 e = mp.mpf(n) / (mp.mpf(s) - mp.mpf(n))
                 exact = mp.euler + mp.digamma(1 + e) - mp.log1p(e)
-            assert abs(mutual_info_aen(s, n) - exact) <= 1e-14 * exact, (s, n)
+            assert abs(mutual_info_aen(s, n) - exact) <= 1e-15 * exact, (s, n)
 
     @pytest.mark.parametrize("lam", [5e-324, 1e-300, 0.3, 1.0, 2.0, 1e300, 1.7e308, DBL_MAX])
     def test_equal_rates_are_exact(self, lam):
