@@ -80,7 +80,8 @@ class TestEntropyQuadrature:
             entropy_quadrature(RatePair(2.0, 1.0))
         assert str(info.value) == (
             "estimated error 2.359e-02 above tolerance 1.000e-10 after 0 subdivisions "
-            "of [0.0, 40.0] (60 integrand points)"
+            "of [0.0, 40.0] (60 integrand points); "
+            "worst panel [0.0, 10.0] with estimated error 2.359e-02"
         )
 
 
@@ -101,11 +102,37 @@ class TestAdaptive:
         assert set(sizes[1:]) == {30}
         assert sum(sizes) == 15 * (4 + 2 * (len(sizes) - 1))
 
+    def test_unequal_halves_pinned(self):
+        # near 0.2 the half-widths of a split's two halves can differ in the last bit, as
+        # 0.5*(0.2 - 0.1) = 0.05 and 0.5*(0.3 - 0.2) = 0.04999999999999999 do; the value
+        # recorded before they became Python floats pins the start edges and per-half widths
+        value = oracle._adaptive(lambda x: np.exp(x) * np.cos(200.0 * x), 0.1, 0.3, 1e-12)
+        assert value.hex() == "-0x1.d4462d5b31febp-8"
+
+        def antiderivative(x):
+            return math.exp(x) * (math.cos(200.0 * x) + 200.0 * math.sin(200.0 * x)) / 40001.0
+
+        assert abs(value - (antiderivative(0.3) - antiderivative(0.1))) < 1e-15
+
+    @pytest.mark.parametrize("column, degree", [(0, 22), (1, 13)])
+    def test_rule_columns_integrate_polynomials(self, column, degree):
+        # K15 is exact to degree 22 and the embedded G7 to degree 13
+        nodes, weights = oracle._NODES, [row[column] for row in oracle._RULE]
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(w * x**k for w, x in zip(weights, nodes)) - exact) < 1e-15
+
+    def test_gauss_column_is_zero_off_the_gauss_nodes(self):
+        assert oracle._NODES == tuple(sorted(oracle._NODES))
+        assert [i for i, (_, g) in enumerate(oracle._RULE) if g == 0.0] == list(range(0, 15, 2))
+        assert {abs(x) for x in oracle._NODES[1::2]} == {abs(x) for x in oracle._XGK[1::2]}
+
     def test_nan_error_estimate_is_not_convergence(self):
         with pytest.raises(ConvergenceError) as info:
             oracle._adaptive(lambda x: np.where(x > 3.0, np.nan, 1.0), 0, 4, 1e-10)
         assert "estimated error nan" in str(info.value)
         assert "of [0, 4]" in str(info.value)
+        assert str(info.value).endswith("; worst panel [3.0, 4] with estimated error nan")
 
     @pytest.mark.parametrize("inf", [math.inf, -math.inf])
     def test_infinite_integrand_is_not_convergence(self, inf):
