@@ -26,8 +26,8 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 
-def _fmt17(x: float) -> str:
-    """Render a float in positional notation with 17 significant digits.
+def _fmt17_list(numbers) -> list:
+    """Render each number in positional notation with 17 significant digits.
 
     The digits are those of the exact binary value, correctly rounded, so
     the text round-trips. Below 1 in magnitude, trailing zeros that come
@@ -37,25 +37,35 @@ def _fmt17(x: float) -> str:
     -inf print as such. The output is byte-identical to numpy's
     ``format_float_positional(x, precision=17, unique=False,
     fractional=False, trim="k")``.
+
+    One bulk ``"%#.17g"`` formats them all; only the cells with an exponent
+    (outside [1e-4, 1e17)) or a trailing "0" after "0." or "-0." are then
+    rewritten. No number's text holds a newline, so splitting is exact.
     """
-    x = float(x)
-    s = "%#.17g" % x  # exponent form outside [1e-4, 1e17)
-    if "e" in s:
-        mantissa, _, exp = s.partition("e")
-        sign = "-" if x < 0.0 else ""
-        digits = mantissa.lstrip("-").replace(".", "")
-        e = int(exp)
-        if e > 0:
-            return sign + digits + "0" * (e - 16) + "."
-        s = sign + "0." + "0" * (-1 - e) + digits
-    if s[-1] == "0" and 0.0 < abs(x) < 1.0:
-        # the zeros are dropped when the exact value is at most the
-        # rounded one: |x| = num/den against fraction/10**decimals
-        point = s.index(".")
-        num, den = abs(x).as_integer_ratio()
-        if num * 10 ** (len(s) - point - 1) <= int(s[point + 1 :]) * den:
-            return s.rstrip("0").ljust(point + 17, "0")
-    return s
+    text = ("%#.17g\n" * len(numbers) % tuple(numbers)).split("\n")[:-1]
+    for i, s in enumerate(text):
+        if "e" in s:
+            mantissa, _, exp = s.partition("e")
+            sign = "-" if s[0] == "-" else ""
+            digits = mantissa.lstrip("-").replace(".", "")
+            e = int(exp)
+            if e > 0:
+                text[i] = sign + digits + "0" * (e - 16) + "."
+                continue
+            s = text[i] = sign + "0." + "0" * (-1 - e) + digits
+        if s[-1] == "0" and s.startswith(("0.", "-0.")):
+            # the zeros are dropped when the exact value is at most the
+            # rounded one: |x| = num/den against fraction/10**decimals
+            point = s.index(".")
+            num, den = abs(numbers[i]).as_integer_ratio()
+            if num * 10 ** (len(s) - point - 1) <= int(s[point + 1 :]) * den:
+                text[i] = s.rstrip("0").ljust(point + 17, "0")
+    return text
+
+
+def _fmt17(x: float) -> str:
+    """One float's ``_fmt17_list`` text."""
+    return _fmt17_list([float(x)])[0]
 
 
 def _checked(parse, ok, requirement: str):
@@ -183,12 +193,9 @@ def _fig2_columns(grid_points: int):
 
 def _csv_column(column) -> list:
     """The CSV text of each cell of a column: "" for None, a str itself, and
-    for a number its _fmt17 text, by the bulk rule of ``_render_csv``."""
+    for a number its ``_fmt17_list`` text."""
     numbers = [v for v in column if v is not None and not isinstance(v, str)]
-    text = ("%#.17g\n" * len(numbers) % tuple(numbers)).split("\n")[:-1]
-    for i, s in enumerate(text):
-        if "e" in s or s[-1] == "0" and s.startswith(("0.", "-0.")):
-            text[i] = _fmt17(numbers[i])
+    text = _fmt17_list(numbers)
     if len(numbers) == len(column):
         return text
     text = iter(text)
@@ -196,14 +203,8 @@ def _csv_column(column) -> list:
 
 
 def _render_csv(header, columns) -> str:
-    """CSV text of equal-length columns, one line per row.
-
-    The numbers of a column are formatted by one bulk ``"%#.17g"``. _fmt17
-    starts from that same text and rewrites it only where it has an
-    exponent or ends in "0" below 1 in magnitude, so only the cells with an
-    "e", or a trailing "0" after a leading "0." or "-0.", go through _fmt17.
-    A number's text holds no newline, so splitting the bulk text is exact.
-    """
+    """CSV text of equal-length columns, one line per row, the numbers of
+    each column formatted by one ``_fmt17_list`` call."""
     cells = map(_csv_column, columns)
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
@@ -247,16 +248,16 @@ def _verify_checks(seed: int, samples: int):
 
     closed_dev = 0.0
     norm_dev = 0.0
+    # RatePair(a, b) == RatePair(b, a): the 42 ordered pairs are the 21 with a < b
     for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
+        for b in grid[i:]:
             rates = RatePair(a, b)
-            if i != j:
+            if b != a:
                 quad = oracle.entropy_quadrature(rates)
                 closed = entropy_mod.hypoexp_entropy(rates)
                 closed_dev = max(closed_dev, abs(quad - closed))
-            if i <= j:
-                norm = oracle.normalization_quadrature(rates)
-                norm_dev = max(norm_dev, abs(norm - 1.0))
+            norm = oracle.normalization_quadrature(rates)
+            norm_dev = max(norm_dev, abs(norm - 1.0))
     yield "closed form vs quadrature (42 pairs)", closed_dev, 1e-8
     yield "density normalization (28 pairs)", norm_dev, 1e-10
 

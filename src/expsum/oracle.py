@@ -97,11 +97,18 @@ _NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
 _RULE = tuple(zip(_WGK[:-1] + _WGK[::-1], [0.0] + [w for g in _WG + _WG[-2::-1] for w in (g, 0.0)]))
 
 
-def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
-    """Globally adaptive bisection with the Gauss-Kronrod 15(7) rule, always
-    splitting the worst panel. f is called once on the four starting panels
-    and once on the two halves of each split."""
+def _adaptive(f, tail, abs_tol: float) -> float:
+    """int_0^T f, T the least doubling of 20 with tail(T) < abs_tol/10, by globally
+    adaptive bisection with the Gauss-Kronrod 15(7) rule, always splitting the worst
+    panel. f is called once on the four starting panels and once on the two halves of
+    each split."""
     import numpy as np
+
+    t_max = 20.0
+    while tail(t_max) >= abs_tol / 10.0:
+        if t_max > 2000.0:
+            raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
+        t_max *= 2.0
 
     nodes, rule = np.array(_NODES), np.array(_RULE)
 
@@ -114,8 +121,8 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
         kg = (fx.reshape(-1, 15) @ rule).tolist()
         return [(h * k, abs(h * k - h * g)) for h, (k, g) in zip(halves, kg)]
 
-    step = (b - a) / 4
-    edges = [a + i * step for i in range(4)] + [b]  # np.linspace(a, b, 5) as Python floats
+    step = t_max / 4
+    edges = [i * step for i in range(4)] + [t_max]  # np.linspace(0, t_max, 5) as Python floats
     spans = list(zip(edges, edges[1:]))
     heap = []
     total_err = 0.0
@@ -132,7 +139,7 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
                 neg_err, pa, pb, _ = next((p for p in heap if not math.isfinite(p[0])), heap[0])
                 raise ConvergenceError(
                     f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
-                    f"after {splits} subdivisions of [{a!r}, {b!r}] "
+                    f"after {splits} subdivisions of [0.0, {t_max!r}] "
                     f"({15 * (4 + 2 * splits)} integrand points); "
                     f"worst panel [{pa!r}, {pb!r}] with estimated error {-neg_err:.3e}"
                 )
@@ -148,16 +155,6 @@ def _adaptive(f, a: float, b: float, abs_tol: float) -> float:
     return math.fsum(panel[3] for panel in heap)
 
 
-def _tail_bounded(f, tail, abs_tol: float) -> float:
-    """int_0^T f by ``_adaptive``, T the least doubling of 20 with tail(T) < abs_tol/10."""
-    t_max = 20.0
-    while tail(t_max) >= abs_tol / 10.0:
-        if t_max > 2000.0:
-            raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
-        t_max *= 2.0
-    return _adaptive(f, 0.0, t_max, abs_tol)
-
-
 def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
     """int_0^T integrand(t, g, k) dt over the unit scale, with T from the tail
     bound, (t, k) from ``dist._unit_kernel`` at d = t (gap/lambda_lo) and g = e^(-t) k."""
@@ -171,7 +168,7 @@ def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
         return integrand(t, np.exp(-t) * k, k)
 
     tail = lambda t: 2.0 * math.exp(-t) * (t * t + 2.0 * t + 2.0)  # noqa: E731
-    return _tail_bounded(unit_integrand, tail, abs_tol)
+    return _adaptive(unit_integrand, tail, abs_tol)
 
 
 def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
@@ -290,4 +287,4 @@ def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
         return np.exp(-a * s) * np.log(-np.expm1(-b * s))
 
     tail = lambda t: math.exp(-(a + b) * t) / ((a + b) * -math.expm1(-b * t))  # noqa: E731
-    return _tail_bounded(integrand, tail, tol) / c
+    return _adaptive(integrand, tail, tol) / c

@@ -415,6 +415,20 @@ class TestVerifyCommand:
         assert code == 1
         assert "overall FAIL" in out
 
+    def test_each_rate_pair_is_integrated_once(self, capsys, monkeypatch):
+        calls = {"entropy_quadrature": [], "normalization_quadrature": []}
+        for name, seen in calls.items():
+            true_fn = getattr(oracle, name)
+            monkeypatch.setattr(
+                oracle, name, lambda rates, fn=true_fn, seen=seen: seen.append(rates) or fn(rates)
+            )
+        code, _, _ = run(capsys, ["verify", "--seed", "42", "--samples", "2000"])
+        assert code == 0
+        entropy, norm = calls["entropy_quadrature"], calls["normalization_quadrature"]
+        assert (len(entropy), len(norm)) == (21, 28)
+        assert len(set(entropy)) == 21 and all(hi != lo for hi, lo in entropy)
+        assert len(set(norm)) == 28
+
 
 class TestDeterminism:
     def test_figure_reruns_are_byte_identical(self, capsys, tmp_path):
