@@ -25,6 +25,11 @@ EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
+#: Figure rows rendered and written per piece of text. Peak memory is the
+#: columns plus one block; on fig1 no size from 256 to 32768 rendered
+#: measurably faster, and at 1024 a block stays below the columns' set-up peak.
+FIGURE_BLOCK = 1024
+
 
 def _fmt17_list(numbers) -> list:
     """Render each number in positional notation with 17 significant digits.
@@ -202,41 +207,51 @@ def _csv_column(column) -> list:
     return ["" if v is None else v if isinstance(v, str) else next(text) for v in column]
 
 
-def _render_csv(header, columns) -> str:
-    """CSV text of equal-length columns, one line per row, the numbers of
-    each column formatted by one ``_fmt17_list`` call."""
-    cells = map(_csv_column, columns)
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+def _render_csv(header, columns):
+    """Yield the CSV text of equal-length columns in pieces: the header line,
+    then one piece per block of ``FIGURE_BLOCK`` rows, one line per row, the
+    numbers of each column's block formatted by one ``_fmt17_list`` call."""
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]) if columns else 0, FIGURE_BLOCK):
+        cells = [_csv_column(column[start : start + FIGURE_BLOCK]) for column in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _render_json(header, columns) -> str:
-    """The bytes of ``json.dumps(records, indent=2) + "\n"`` for the records
-    ``dict(zip(header, row))`` of equal-length columns of scalars.
+def _render_json(header, columns):
+    """Yield, in pieces, the bytes of ``json.dumps(records, indent=2) + "\n"``
+    for the records ``dict(zip(header, row))`` of equal-length columns of
+    scalars: "[\n", then one piece per block of ``FIGURE_BLOCK`` records with
+    ",\n" between blocks, then "\n]\n"; "[]\n" alone when there are none.
 
-    json's own encoder writes each column in one call, with a newline
+    json's own encoder writes each column's block in one call, with a newline
     between items; json escapes newlines inside strings, so splitting
     there gives each value's text. One template per record lays them out.
     """
     import json
 
     if not columns or not columns[0]:
-        return "[]\n"
-    cells = [json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") for column in columns]
+        yield "[]\n"
+        return
     keys = [json.dumps(key).replace("%", "%%") for key in header]
     template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n]\n"
+    for start in range(0, len(columns[0]), FIGURE_BLOCK):
+        blocks = (column[start : start + FIGURE_BLOCK] for column in columns)
+        cells = [json.dumps(block, separators=("\n", ": "))[1:-1].split("\n") for block in blocks]
+        yield ",\n" if start else "[\n"
+        yield ",\n".join(map(template.__mod__, zip(*cells)))
+    yield "\n]\n"
 
 
 def cmd_figure(args) -> int:
     columns_of = _fig1_columns if args.figure_id == "fig1" else _fig2_columns
     header, columns = columns_of(args.grid_points)
     render = _render_csv if args.format == "csv" else _render_json
-    content = render(header, columns)
+    pieces = render(header, columns)
     if args.out is None:
-        sys.stdout.write(content)
+        sys.stdout.writelines(pieces)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
+            fh.writelines(pieces)
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 """CLI surface: output records, validation exits, figure files, verify."""
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from expsum import cli, oracle
 from expsum.cli import _fmt17, main
 from expsum.dist import RatePair
 from expsum.specfun import EULER_GAMMA
+
+GOLDEN_FIGURES = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())["figures"]
 
 
 def run(capsys, argv):
@@ -381,6 +385,32 @@ class TestFigureCommand:
         assert code == 0
         assert out == out_path.read_text()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_hashes_to_the_golden_file(self, capsys, fmt):
+        code, out, _ = run(capsys, ["figure", "fig1", "--grid-points", "2000", "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FIGURES[f"fig1 {fmt} 2000"]
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_is_the_columns_plus_one_block(self, tmp_path, fmt):
+        argv = ["figure", "fig1", "--grid-points", "2000", "--format", fmt,
+                "--out", str(tmp_path / "fig1.out")]
+        assert main(argv) == 0  # imports outside the trace
+        columns = self.traced_peak(cli._fig1_columns, 2000)
+        # a block row's text, its cells' str objects and the lists holding
+        # them take under 1 KiB; the 24,000 rows' whole text would take
+        # 7.7 MB (csv) and 13.6 MB (json) more than the columns
+        assert self.traced_peak(main, argv) - columns <= 1024 * cli.FIGURE_BLOCK
+
     def test_unwritable_path_exits_four(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "fig1.csv"
         code, _, err = run(
@@ -574,12 +604,28 @@ class TestRenderers:
     @pytest.mark.parametrize("case", range(5))
     def test_csv_matches_per_cell_reference(self, case):
         header, columns = render_corpus()[case]
-        assert cli._render_csv(header, columns) == csv_reference(header, columns)
+        assert "".join(cli._render_csv(header, columns)) == csv_reference(header, columns)
 
     @pytest.mark.parametrize("case", range(5))
     def test_json_matches_json_dumps(self, case):
         header, columns = render_corpus()[case]
-        assert cli._render_json(header, columns) == json_reference(header, columns)
+        assert "".join(cli._render_json(header, columns)) == json_reference(header, columns)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_block_edges_change_no_corpus_byte(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "FIGURE_BLOCK", block)
+        for header, columns in render_corpus():
+            assert "".join(cli._render_csv(header, columns)) == csv_reference(header, columns)
+            assert "".join(cli._render_json(header, columns)) == json_reference(header, columns)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_edges_change_no_figure_byte(self, monkeypatch, tmp_path, block, fmt):
+        # 84 rows span 28 to 84 blocks
+        monkeypatch.setattr(cli, "FIGURE_BLOCK", block)
+        out = tmp_path / "fig1.out"
+        assert main(["figure", "fig1", "--grid-points", "7", "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FIGURES[f"fig1 {fmt} 7"]
 
 
 class TestImports:
