@@ -14,17 +14,21 @@ import sys
 
 GATES = [
     # (name, expsum arguments, limit in MB)
-    # The estimator keeps three chunk buffers, so its memory should not grow
-    # with the sample count; one unstreamed array of 2e7 samples alone would
-    # take 160 MB.
+    # The estimator keeps three chunk buffers across its two stripes, so its
+    # memory should not grow with the sample count; one unstreamed array of
+    # 2e7 samples alone would take 160 MB.
     ("Monte-Carlo entropy at 2e7 samples",
      ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "mc",
-      "--n", "20000000", "--seed", "1"], 60.0),
-    # Figure text is written in blocks of rows, so memory is the columns plus
-    # one block; this 31 MB file built as one string took 208 MB.
+      "--n", "20000000", "--seed", "1"], 45.0),
+    # Figure rows are computed and written in blocks, so memory is one block
+    # plus one curve's grid; this 31 MB file built as one string took 208 MB,
+    # and its whole columns 65 MB.
     ("fig1 JSON at 20000 grid points",
      ["figure", "fig1", "--grid-points", "20000", "--format", "json",
-      "--out", os.devnull], 100.0),
+      "--out", os.devnull], 45.0),
+    # the same limit at four times the points: memory must not grow with them
+    ("fig1 CSV at 80000 grid points",
+     ["figure", "fig1", "--grid-points", "80000", "--out", os.devnull], 45.0),
 ]
 
 

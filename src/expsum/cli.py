@@ -25,9 +25,9 @@ EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
-#: Figure rows rendered and written per piece of text. Peak memory is the
-#: columns plus one block; on fig1 no size from 256 to 32768 rendered
-#: measurably faster, and at 1024 a block stays below the columns' set-up peak.
+#: Figure rows computed, rendered and written per block. Peak memory is one
+#: block plus one curve's grid, whatever the number of grid points; on fig1
+#: no size from 256 to 32768 rendered measurably faster.
 FIGURE_BLOCK = 1024
 
 
@@ -134,49 +134,53 @@ def cmd_cond_entropy(args) -> int:
     return EXIT_OK
 
 
+def _slices(grid):
+    """``grid`` in consecutive slices of ``FIGURE_BLOCK`` elements."""
+    return (grid[start : start + FIGURE_BLOCK] for start in range(0, grid.size, FIGURE_BLOCK))
+
+
 def _fig1_columns(grid_points: int):
-    """Long-format columns (curve, lambda_w, lambda_x, entropy_nats).
+    """The header (curve, lambda_w, lambda_x, entropy_nats) and a generator of
+    the long-format rows as blocks of columns, each computed when it is reached.
 
     Ten fixed-noise curves with lambda_w stepping 0.2 .. 2.0 in increments
     of 0.2 and lambda_x sweeping up to just below lambda_w, plus the
     equal-rate Erlang-2 curve and the single-exponential curve over a
-    shared grid.
+    shared grid. A curve's grid is built when the curve is reached and cut
+    into blocks of at most ``FIGURE_BLOCK`` rows; ``hypoexp_entropy_array``
+    equals the scalar form on each element, so no value depends on the blocks.
     """
     import numpy as np
 
-    n = grid_points
-    noise = [round(0.2 * k, 1) for k in range(1, 11)]
-    lam_w = np.repeat(noise, n)
-    lam_x = np.concatenate([np.geomspace(0.01, lw * (1.0 - 1e-3), n) for lw in noise])
-    shared = np.geomspace(0.01, 2.0, n)
-    # lambda_w > lambda_x on each fixed-noise curve, as the array form needs;
-    # equal rates give the Erlang-2 entropy, so one array call covers both curves
-    h = entropy_mod.hypoexp_entropy_array(
-        np.concatenate((lam_w, shared)), np.concatenate((lam_x, shared))
-    )
-    shared = shared.tolist()
-    columns = [
-        ["hypoexp"] * (10 * n) + ["erlang2"] * n + ["single"] * n,
-        lam_w.tolist() + shared + [None] * n,
-        lam_x.tolist() + shared + shared,
-        h.tolist() + list(map(entropy_mod.exp_entropy, shared)),
-    ]
-    return ["curve", "lambda_w", "lambda_x", "entropy_nats"], columns
+    def blocks():
+        for lam_w in (round(0.2 * k, 1) for k in range(1, 11)):
+            # lambda_w > lambda_x on each fixed-noise curve, as the array form needs
+            for x in _slices(np.geomspace(0.01, lam_w * (1.0 - 1e-3), grid_points)):
+                h = entropy_mod.hypoexp_entropy_array(np.full(x.size, lam_w), x)
+                yield [["hypoexp"] * x.size, [lam_w] * x.size, x.tolist(), h.tolist()]
+        shared = np.geomspace(0.01, 2.0, grid_points)
+        for x in _slices(shared):  # equal rates give the Erlang-2 entropy
+            xs = x.tolist()
+            yield [["erlang2"] * x.size, xs, xs, entropy_mod.hypoexp_entropy_array(x, x).tolist()]
+        for x in _slices(shared):
+            xs = x.tolist()
+            yield [["single"] * x.size, [None] * x.size, xs, list(map(entropy_mod.exp_entropy, xs))]
+
+    return ["curve", "lambda_w", "lambda_x", "entropy_nats"], blocks()
 
 
 def _fig2_columns(grid_points: int):
-    """Columns (lambda, lambda_x, lambda_w, entropy_nats, reference lines).
+    """The header (lambda, lambda_x, lambda_w, entropy_nats, reference lines)
+    and a generator of the rows as blocks of columns, as ``_fig1_columns``.
 
     lambda runs log-spaced over [1.01, 100]; 2.0, the equal-rate point
     where the curve touches the Erlang-2 line, is added so the contact
-    appears exactly in the data.
+    appears exactly in the data. Each block forms its rate pairs
+    elementwise as ``mean_constrained_rates`` does: lambda/(lambda - 1),
+    then the larger and the smaller of the two.
     """
     import numpy as np
 
-    lam = sorted({*np.geomspace(1.01, 100.0, grid_points).tolist(), 2.0})
-    hi, lo = zip(*map(entropy_mod.mean_constrained_rates, lam))
-    h = entropy_mod.hypoexp_entropy_array(hi, lo)
-    n = len(lam)
     header = [
         "lambda",
         "lambda_x",
@@ -185,15 +189,21 @@ def _fig2_columns(grid_points: int):
         "reference_exp",
         "reference_erlang2",
     ]
-    columns = [
-        lam,
-        list(lo),
-        list(hi),
-        h.tolist(),
-        [entropy_mod.exp_entropy(1.0)] * n,
-        [entropy_mod.erlang2_entropy(2.0)] * n,
-    ]
-    return header, columns
+    lam = np.geomspace(1.01, 100.0, grid_points)
+    at = int(np.searchsorted(lam, 2.0))
+    if lam[at] != 2.0:  # lam ends at 100, so 2.0 is never past the end
+        lam = np.insert(lam, at, 2.0)
+    references = entropy_mod.exp_entropy(1.0), entropy_mod.erlang2_entropy(2.0)
+
+    def blocks():
+        for x in _slices(lam):
+            other = x / (x - 1.0)
+            hi, lo = np.maximum(x, other), np.minimum(x, other)
+            h = entropy_mod.hypoexp_entropy_array(hi, lo)
+            refs = ([ref] * x.size for ref in references)
+            yield [x.tolist(), lo.tolist(), hi.tolist(), h.tolist(), *refs]
+
+    return header, blocks()
 
 
 def _csv_column(column) -> list:
@@ -207,46 +217,45 @@ def _csv_column(column) -> list:
     return ["" if v is None else v if isinstance(v, str) else next(text) for v in column]
 
 
-def _render_csv(header, columns):
-    """Yield the CSV text of equal-length columns in pieces: the header line,
-    then one piece per block of ``FIGURE_BLOCK`` rows, one line per row, the
-    numbers of each column's block formatted by one ``_fmt17_list`` call."""
+def _render_csv(header, blocks):
+    """Yield the CSV text of the rows in pieces: the header line, then one
+    piece per block, a non-empty list of equal-length columns, one line per
+    row, the numbers of each column formatted by one ``_fmt17_list`` call."""
     yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]) if columns else 0, FIGURE_BLOCK):
-        cells = [_csv_column(column[start : start + FIGURE_BLOCK]) for column in columns]
+    for columns in blocks:
+        cells = [_csv_column(column) for column in columns]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _render_json(header, columns):
+def _render_json(header, blocks):
     """Yield, in pieces, the bytes of ``json.dumps(records, indent=2) + "\n"``
-    for the records ``dict(zip(header, row))`` of equal-length columns of
-    scalars: "[\n", then one piece per block of ``FIGURE_BLOCK`` records with
-    ",\n" between blocks, then "\n]\n"; "[]\n" alone when there are none.
+    for the records ``dict(zip(header, row))`` of the rows of ``blocks``, each
+    a non-empty list of equal-length columns of scalars: "[\n", then one piece
+    per block with ",\n" between blocks, then "\n]\n"; "[]\n" alone when there
+    are no blocks.
 
-    json's own encoder writes each column's block in one call, with a newline
+    json's own encoder writes each column of a block in one call, with a newline
     between items; json escapes newlines inside strings, so splitting
     there gives each value's text. One template per record lays them out.
     """
     import json
 
-    if not columns or not columns[0]:
-        yield "[]\n"
-        return
     keys = [json.dumps(key).replace("%", "%%") for key in header]
     template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    for start in range(0, len(columns[0]), FIGURE_BLOCK):
-        blocks = (column[start : start + FIGURE_BLOCK] for column in columns)
-        cells = [json.dumps(block, separators=("\n", ": "))[1:-1].split("\n") for block in blocks]
-        yield ",\n" if start else "[\n"
+    opening = "[\n"
+    for columns in blocks:
+        cells = [json.dumps(col, separators=("\n", ": "))[1:-1].split("\n") for col in columns]
+        yield opening
         yield ",\n".join(map(template.__mod__, zip(*cells)))
-    yield "\n]\n"
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
 def cmd_figure(args) -> int:
     columns_of = _fig1_columns if args.figure_id == "fig1" else _fig2_columns
-    header, columns = columns_of(args.grid_points)
+    header, blocks = columns_of(args.grid_points)
     render = _render_csv if args.format == "csv" else _render_json
-    pieces = render(header, columns)
+    pieces = render(header, blocks)
     if args.out is None:
         sys.stdout.writelines(pieces)
     else:

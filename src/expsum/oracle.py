@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from collections import namedtuple
 
 from . import dist
@@ -56,10 +57,11 @@ EstimateWithError = namedtuple("EstimateWithError", "estimate std_error n_sample
 #: Panel splits the adaptive integrator may make before it gives up.
 MAX_SUBDIVISIONS = 2000
 
-#: Samples drawn and evaluated per chunk by ``entropy_monte_carlo``. Peak
-#: memory is three buffers of this many floats, 1.5 MB at 2^16; at 10^7
-#: samples no size from 2^14 to 2^20 ran faster. Changing it changes the
-#: estimates' last bits for n above it.
+#: Samples drawn and evaluated per chunk by ``entropy_monte_carlo``. Each of
+#: its at most two stripes keeps one buffer of this many floats and one of
+#: half as many, so peak memory is three buffers of this size, 1.5 MB at 2^16;
+#: at 10^7 samples on one core no size from 2^14 to 2^20 ran faster. Changing
+#: it changes the estimates' last bits for n above it.
 MC_CHUNK = 1 << 16
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
@@ -187,6 +189,51 @@ def normalization_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> floa
     return _unit_quadrature(rates, abs_tol, lambda t, g, k: g)
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_buf, sums):
+    """Draw, evaluate and reduce the chunks at ``starts`` in order, writing each
+    chunk's (sum, M2) into its row of ``sums``; return None, or the message of the
+    first chunk whose sum is not finite, where it stops. t is drawn into ``vals_buf``
+    and the lambda_lo draws and k go through ``k_buf``, one sub-block of its length
+    at a time; the work is elementwise, so the sub-blocks change no bit."""
+    import numpy as np
+
+    hi, lo = rates
+    per_t = (hi - lo) / lo  # d = gap y per unit of t, as in the quadratures
+    rng_hi = np.random.default_rng(seed)
+    rng_lo = np.random.default_rng(seed)
+    rng_hi.bit_generator.advance(starts[0])  # each draw takes one uniform
+    rng_lo.bit_generator.advance(n + starts[0])
+    for start in starts:
+        size = min(MC_CHUNK, n - start)
+        vals = vals_buf[:size]
+        for sub in range(0, size, k_buf.size):
+            t = vals[sub : sub + k_buf.size]
+            k = k_buf[: t.size]
+            exponential_draws(rng_hi, t.size, hi / lo, t)
+            t += exponential_draws(rng_lo, t.size, 1.0, k)
+            t, k = dist._unit_kernel(rates, t, 1.0, per_t, k)
+            with np.errstate(divide="ignore"):  # k = 0 gives t - ln k = inf, reported below
+                t -= np.log(k, out=k)
+        chunk_sum = float(np.add.reduce(vals))
+        if not math.isfinite(chunk_sum):
+            bad = int(np.argmin(np.isfinite(vals)))
+            return (
+                f"Monte-Carlo estimate is not finite: t - ln k = {float(vals[bad])!r} at sample "
+                f"{start + bad} (rates {hi!r}, {lo!r}; n={n}, seed={seed})"
+            )
+        vals -= chunk_sum / size
+        np.multiply(vals, vals, out=vals)
+        sums[start // MC_CHUNK] = chunk_sum, float(np.add.reduce(vals))
+    return None
+
+
 def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError:
     """Resubstitution entropy estimate of the sum at ``rates`` from n seeded samples.
 
@@ -196,22 +243,26 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     finite at subnormal rates. Returns -ln lambda_lo plus the sample mean
     of t - ln k, k from ``dist._unit_kernel``, with its standard error
     (sample standard deviation over sqrt(n)). Bit-identical across runs
-    with equal (rates, n, seed).
+    with equal (rates, n, seed), whatever the number of cores.
 
-    The samples are streamed in chunks of ``MC_CHUNK``: a second generator,
-    advanced by n draws, supplies the lambda_lo block, so chunk i uses the
-    same uniforms as the one-shot stream. Each chunk is drawn, evaluated
-    and reduced in three buffers of ``MC_CHUNK`` floats made once, so no
-    chunk allocates an array: t, k, and t - ln k, whose buffer first takes
-    the lambda_lo draws. A chunk's sum and its sum of squared deviations M2
-    are merged into running totals, the sums with Neumaier's compensation
-    and the M2 values with the pairwise update of Chan, Golub and LeVeque
-    (1979), so memory does not grow with n. For n <=
-    ``MC_CHUNK`` there is one chunk and the estimates are bit-identical to
-    the one-shot ``vals.mean() - ln lambda_lo`` and ``vals.std(ddof=1)``;
-    above that they agree with the one-shot reduction to a few ulp (within
-    1 ulp of the correctly rounded mean, and M2 within 1e-15 relative, on
-    the cases measured up to 10^7 samples).
+    The samples are streamed in chunks of ``MC_CHUNK``. The chunks are split
+    into at most two contiguous stripes, one per usable core; the calling
+    thread runs the first and one pool thread the second, or the calling
+    thread both when no thread can be started. Each stripe has its own pair
+    of generators, advanced to its first sample, so chunk i uses the same
+    uniforms as the one-shot stream. The calling thread allocates every
+    buffer: per stripe one of ``MC_CHUNK`` floats for t - ln k and one of
+    half as many for the lambda_lo draws and k, so no chunk allocates an
+    array and peak memory is at most three chunk buffers. Each chunk's sum
+    and sum of squared deviations M2 are then merged in chunk order, the
+    sums with Neumaier's compensation and the M2 values with the pairwise
+    update of Chan, Golub and LeVeque (1979), so memory does not grow with
+    n. For n <= ``MC_CHUNK`` there is one chunk, no thread is started, and
+    the estimates are bit-identical to the one-shot
+    ``vals.mean() - ln lambda_lo`` and ``vals.std(ddof=1)``; above that they
+    agree with the one-shot reduction to a few ulp (within 1 ulp of the
+    correctly rounded mean, and M2 within 1e-15 relative, on the cases
+    measured up to 10^7 samples).
 
     Raises FloatingPointError, naming the first offending sample, when the
     estimate is not finite (t - ln k was inf or nan at a sample).
@@ -221,32 +272,36 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be at least 2 to form a standard error, got {n}")
-    hi, lo = rates
-    per_t = (hi - lo) / lo  # d = gap y per unit of t, as in the quadratures
-    rng_hi = np.random.default_rng(seed)
-    rng_lo = np.random.default_rng(seed)
-    rng_lo.bit_generator.advance(n)
-    t_buf, k_buf, vals_buf = (np.empty(min(n, MC_CHUNK)) for _ in range(3))
+    starts = range(0, n, MC_CHUNK)
+    # two stripes of 1.5 chunk buffers each hold peak memory at three buffers
+    stripes = min(2, _usable_cores(), len(starts))
+    cut = -(-len(starts) // stripes)
+    sums = np.empty((len(starts), 2))
+    # allocated here, not in the pool thread, whose own malloc arena would add to peak memory
+    half = -(-MC_CHUNK // 2)
+    jobs = [
+        (rates, n, seed, part, np.empty(min(n, MC_CHUNK)), np.empty(min(n, half)), sums)
+        for part in (starts[:cut], starts[cut:])[:stripes]
+    ]
+    if stripes == 1:
+        failures = [_mc_stripe(*jobs[0])]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            try:
+                later = pool.submit(_mc_stripe, *jobs[1])
+            except RuntimeError:  # no thread could be started: the same work, here
+                later = None
+            failures = [_mc_stripe(*jobs[0])]
+            failures.append(_mc_stripe(*jobs[1]) if later is None else later.result())
+    failure = next(filter(None, failures), None)  # the lowest failing chunk
+    if failure is not None:
+        raise FloatingPointError(failure)
     total, carry, m2 = 0.0, 0.0, 0.0
-    for start in range(0, n, MC_CHUNK):
+    for start, (chunk_sum, chunk_m2) in zip(starts, sums.tolist()):
         size = min(MC_CHUNK, n - start)
-        vals = vals_buf[:size]
-        t = exponential_draws(rng_hi, size, hi / lo, t_buf[:size])
-        t += exponential_draws(rng_lo, size, 1.0, vals)
-        t, k = dist._unit_kernel(rates, t, 1.0, per_t, k_buf[:size])
-        with np.errstate(divide="ignore"):  # k = 0 gives t - ln k = inf, reported below
-            np.subtract(t, np.log(k, out=vals), out=vals)
-        chunk_sum = float(np.add.reduce(vals))
-        if not math.isfinite(chunk_sum):
-            bad = int(np.argmin(np.isfinite(vals)))
-            raise FloatingPointError(
-                f"Monte-Carlo estimate is not finite: t - ln k = {float(vals[bad])!r} at sample "
-                f"{start + bad} (rates {hi!r}, {lo!r}; n={n}, seed={seed})"
-            )
         chunk_mean = chunk_sum / size
-        vals -= chunk_mean
-        np.multiply(vals, vals, out=vals)
-        chunk_m2 = float(np.add.reduce(vals))
         if start:  # merge with the start samples before this chunk
             delta = chunk_mean - (total + carry) / start
             m2 += chunk_m2 + delta * delta * start * size / (start + size)
@@ -260,7 +315,7 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
         else:
             carry += (chunk_sum - new_total) + total
         total = new_total
-    mean = (total + carry) / n - math.log(lo)
+    mean = (total + carry) / n - math.log(rates.lambda_lo)
     std = math.sqrt(m2 / (n - 1))
     return EstimateWithError(estimate=mean, std_error=std / math.sqrt(n), n_samples=n)
 

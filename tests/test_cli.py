@@ -411,6 +411,18 @@ class TestFigureCommand:
         # 7.7 MB (csv) and 13.6 MB (json) more than the columns
         assert self.traced_peak(main, argv) - columns <= 1024 * cli.FIGURE_BLOCK
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_the_grid(self, fmt):
+        def peak(grid_points):
+            argv = ["figure", "fig1", "--grid-points", str(grid_points), "--format", fmt,
+                    "--out", os.devnull]
+            return self.traced_peak(main, argv)
+
+        peak(2)  # imports outside the trace
+        # the only arrays as long as the grid are one curve's and the shared one,
+        # with geomspace's temporaries; whole columns would add about 1.8 KB a point
+        assert peak(8000) - peak(2000) <= 4 * 8 * 6000
+
     def test_unwritable_path_exits_four(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "fig1.csv"
         code, _, err = run(
@@ -577,6 +589,15 @@ def json_reference(header, columns):
     return json.dumps([dict(zip(header, row)) for row in zip(*columns)], indent=2) + "\n"
 
 
+def rendered(render, header, columns):
+    """The text ``render`` makes of equal-length columns cut into blocks of
+    ``cli.FIGURE_BLOCK`` rows, as the figure builders yield them."""
+    size = cli.FIGURE_BLOCK
+    rows = len(columns[0]) if columns else 0
+    blocks = ([column[s : s + size] for column in columns] for s in range(0, rows, size))
+    return "".join(render(header, blocks))
+
+
 def render_corpus():
     """(header, columns) cases over every kind of value a cell can hold."""
     rng = np.random.default_rng(1121)
@@ -604,19 +625,19 @@ class TestRenderers:
     @pytest.mark.parametrize("case", range(5))
     def test_csv_matches_per_cell_reference(self, case):
         header, columns = render_corpus()[case]
-        assert "".join(cli._render_csv(header, columns)) == csv_reference(header, columns)
+        assert rendered(cli._render_csv, header, columns) == csv_reference(header, columns)
 
     @pytest.mark.parametrize("case", range(5))
     def test_json_matches_json_dumps(self, case):
         header, columns = render_corpus()[case]
-        assert "".join(cli._render_json(header, columns)) == json_reference(header, columns)
+        assert rendered(cli._render_json, header, columns) == json_reference(header, columns)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_block_edges_change_no_corpus_byte(self, monkeypatch, block):
         monkeypatch.setattr(cli, "FIGURE_BLOCK", block)
         for header, columns in render_corpus():
-            assert "".join(cli._render_csv(header, columns)) == csv_reference(header, columns)
-            assert "".join(cli._render_json(header, columns)) == json_reference(header, columns)
+            assert rendered(cli._render_csv, header, columns) == csv_reference(header, columns)
+            assert rendered(cli._render_json, header, columns) == json_reference(header, columns)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -215,8 +215,8 @@ def test_rerecorded_figures_are_as_close_to_mpmath(mp, columns_of):
     """Each changed figure entropy is at least as close to mpmath as the
     value it replaced, or within one ulp of the exact value; the largest
     error over the figure does not grow."""
-    header, columns = columns_of(2000)
-    col = dict(zip(header, columns))
+    header, blocks = columns_of(2000)
+    col = dict(zip(header, ([v for block in column for v in block] for column in zip(*blocks))))
     worst_old = worst_new = 0.0
     for a, b, value in zip(col["lambda_w"], col["lambda_x"], col["entropy_nats"]):
         if a is None:  # the single-exponential curve is not a two-rate closed form

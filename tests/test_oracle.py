@@ -3,6 +3,7 @@
 import inspect
 import math
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -175,13 +176,18 @@ class TestMonteCarlo:
         assert abs(est.estimate - erlang2_entropy(1.7e308)) <= 5.0 * est.std_error
 
     @staticmethod
-    def one_shot_values(rates, n, seed):
-        """t - ln k at n unit-scale samples t from one generator: the lambda_hi
-        block at rate lambda_hi/lambda_lo first, then the lambda_lo block at rate 1."""
-        hi, lo = d = RatePair(*rates)
+    def unit_draws(rates, n, seed):
+        """n unit-scale samples t from one generator: the lambda_hi block at rate
+        lambda_hi/lambda_lo first, then the lambda_lo block at rate 1."""
+        hi, lo = RatePair(*rates)
         rng = np.random.default_rng(seed)
-        t = exponential_draws(rng, n, hi / lo) + exponential_draws(rng, n, 1.0)
-        t, k = dist._unit_kernel(d, t, 1.0, (hi - lo) / lo)
+        return exponential_draws(rng, n, hi / lo) + exponential_draws(rng, n, 1.0)
+
+    @classmethod
+    def one_shot_values(cls, rates, n, seed):
+        """t - ln k at the n samples of ``unit_draws``."""
+        hi, lo = d = RatePair(*rates)
+        t, k = dist._unit_kernel(d, cls.unit_draws(rates, n, seed), 1.0, (hi - lo) / lo)
         return t - np.log(k)
 
     @staticmethod
@@ -283,22 +289,100 @@ class TestMonteCarlo:
         for part in ("sample 7", "3.0", "2.0", "n=10", "seed=5"):
             assert part in message
 
-    def test_non_finite_value_in_a_later_chunk_names_its_global_index(self, monkeypatch):
-        calls = []
+    def plant_zeros(self, monkeypatch, n, samples, rates=(3.0, 2.0), seed=5):
+        """Make ``dist._unit_kernel`` return k = 0 at the given global samples, found by
+        their draws of t, so in whatever order the stripes call it; returns the list to
+        which each call appends the global index of its first sample."""
+        t_all = self.unit_draws(rates, n, seed)
+        index = {t: i for i, t in enumerate(t_all.tolist())}
+        assert len(index) == n  # every draw names one sample
+        targets = t_all[samples]
+        firsts = []
         kernel = dist._unit_kernel
 
-        def zero_in_second_chunk(*args):
+        def planted(*args):
             t, k = kernel(*args)
-            calls.append(None)
-            if len(calls) == 2:
-                k[7] = 0.0
+            firsts.append(index[float(t[0])])
+            k[np.isin(t, targets)] = 0.0
             return t, k
 
-        monkeypatch.setattr(dist, "_unit_kernel", zero_in_second_chunk)
+        monkeypatch.setattr(dist, "_unit_kernel", planted)
+        return firsts
+
+    def test_non_finite_value_in_a_later_chunk_names_its_global_index(self, monkeypatch):
+        firsts = self.plant_zeros(monkeypatch, 6 * MC_CHUNK, [MC_CHUNK + 7])
+        # with two stripes, chunks 0-2 are the calling thread's and 3-5 the pool thread's;
+        # the failing chunk 1 is the calling thread's last, which never reaches chunk 2
+        for cores, chunks_run in ((1, [0, 1]), (2, [0, 1, 3, 4, 5])):
+            monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+            firsts.clear()
+            with pytest.raises(FloatingPointError) as info:
+                entropy_monte_carlo(RatePair(3.0, 2.0), 6 * MC_CHUNK, seed=5)
+            assert f"at sample {MC_CHUNK + 7} " in str(info.value)
+            half = MC_CHUNK // 2
+            assert sorted(firsts) == [c * MC_CHUNK + h for c in chunks_run for h in (0, half)]
+
+    @pytest.mark.parametrize(
+        "samples", [[MC_CHUNK + 7, 4 * MC_CHUNK + 3], [3 * MC_CHUNK + 3, 2 * MC_CHUNK + 9]]
+    )
+    def test_non_finite_values_in_both_stripes_name_the_lower_index(self, monkeypatch, samples):
+        # in the second case the pool thread fails at its first chunk and the
+        # calling thread at its last
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
+        self.plant_zeros(monkeypatch, 6 * MC_CHUNK, samples)
         with pytest.raises(FloatingPointError) as info:
-            entropy_monte_carlo(RatePair(3.0, 2.0), 3 * MC_CHUNK, seed=5)
-        assert f"at sample {MC_CHUNK + 7} " in str(info.value)
-        assert len(calls) == 2
+            entropy_monte_carlo(RatePair(3.0, 2.0), 6 * MC_CHUNK, seed=5)
+        assert f"at sample {min(samples)} " in str(info.value)
+
+    @staticmethod
+    def hex_by_cores(monkeypatch, rates, n, seed, cores):
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+        est = entropy_monte_carlo(RatePair(*rates), n, seed)
+        return est.estimate.hex(), est.std_error.hex()
+
+    @pytest.mark.parametrize("n", [MC_CHUNK + 1, 3 * MC_CHUNK + 5, 10**6])
+    @pytest.mark.parametrize("rates", [(5.0, 0.3), (2.0, 2.0)])
+    def test_stripe_count_changes_no_bit(self, monkeypatch, n, rates):
+        one, two = (self.hex_by_cores(monkeypatch, rates, n, 7, cores) for cores in (1, 64))
+        assert one == two
+
+    def test_stripe_count_changes_no_bit_over_many_chunks(self, monkeypatch):
+        # 6,251 chunks of 16 samples, their results written by both threads at once,
+        # with the interpreter switching threads every microsecond
+        monkeypatch.setattr(oracle, "MC_CHUNK", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            one, two = (self.hex_by_cores(monkeypatch, (5.0, 0.3), 10**5 + 5, 3, cores)
+                        for cores in (1, 2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert one == two
+
+    def test_a_thread_is_started_only_for_two_chunks_and_two_cores(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        self.hex_by_cores(monkeypatch, (2.0, 1.0), MC_CHUNK, 1, 2)
+        self.hex_by_cores(monkeypatch, (2.0, 1.0), MC_CHUNK + 1, 1, 1)
+        assert started == []
+        self.hex_by_cores(monkeypatch, (2.0, 1.0), MC_CHUNK + 1, 1, 2)
+        assert len(started) == 1
+        assert not started[0].is_alive()  # joined before the estimate returns
+
+    def test_a_thread_that_cannot_start_changes_no_bit(self, monkeypatch):
+        expected = self.hex_by_cores(monkeypatch, (5.0, 0.3), 3 * MC_CHUNK + 5, 7, 2)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert self.hex_by_cores(monkeypatch, (5.0, 0.3), 3 * MC_CHUNK + 5, 7, 2) == expected
 
 
 class TestGrLogIntegral:
