@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception as exc:  # keep 1 for verification failures only
+    except Exception as exc:  # keep 1 for a failed verification only
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -23,14 +23,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .specfun import _require_positive
+
 _DBL_MAX = 1.7976931348623157e308
-
-
-def _require_rate(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be a positive finite rate, got {value!r}")
-    return value
 
 
 def _ret(out, arr):
@@ -49,8 +44,8 @@ class RatePair(namedtuple("RatePair", "lambda_hi lambda_lo")):
     __slots__ = ()
 
     def __new__(cls, lambda_hi: float, lambda_lo: float):
-        hi = _require_rate(lambda_hi, "lambda_hi")
-        lo = _require_rate(lambda_lo, "lambda_lo")
+        hi = _require_positive(lambda_hi, "lambda_hi")
+        lo = _require_positive(lambda_lo, "lambda_lo")
         if hi < lo:
             hi, lo = lo, hi
         return super().__new__(cls, hi, lo)
@@ -96,13 +91,18 @@ def hypoexp_pdf(rates: RatePair, y):
 
     lambda_lo (e^(-t) k): the bracket is at most max(1/e, r), so nothing overflows,
     and lambda_lo E, which underflows for ratios of rates past DBL_MAX, is never formed.
+    Past t = 708, where e^(-t) is subnormal, lambda_lo e^(-t) is formed as
+    e^(ln lambda_lo - t) where lambda_lo > 1, so that a normal pdf keeps its precision.
     """
     import numpy as np
 
     hi, lo = rates
     arr = np.asarray(y, dtype=float)
     t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
-    return _ret(np.where(arr < 0.0, 0.0, lo * (np.exp(-t) * k)), arr)
+    pdf = lo * (np.exp(-t) * k)
+    if lo > 1.0:  # e^(ln lambda_lo - t) <= e^1.8 at t >= 708: no overflow where it is dropped
+        pdf = np.where(t > 708.0, np.exp(math.log(lo) - np.maximum(t, 708.0)) * k, pdf)
+    return _ret(np.where(arr < 0.0, 0.0, pdf), arr)
 
 
 def hypoexp_cdf(rates: RatePair, y):

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 
-from .dist import RatePair, _require_rate
+from .dist import RatePair
 from .specfun import _SHIFT_THRESHOLD, EULER_GAMMA, _log_ratio, _near_one_tail, _series_tail
-from .specfun import _digamma_minus_log_array, digamma_minus_log, log_each
+from .specfun import _digamma_minus_log_array, _require_positive, digamma_minus_log, log_each
 
 
 def exp_entropy(lam: float) -> float:
@@ -40,7 +40,7 @@ def exp_entropy(lam: float) -> float:
     mean 1/lam, which makes it an upper bound for every distribution
     treated here once means are matched.
     """
-    lam = _require_rate(lam, "lam")
+    lam = _require_positive(lam, "lam")
     return 1.0 - math.log(lam)
 
 
@@ -49,7 +49,7 @@ def erlang2_entropy(lam: float) -> float:
 
     Equivalent to 2 - psi(2) - ln(lam) via psi(2) = 1 - gamma.
     """
-    lam = _require_rate(lam, "lam")
+    lam = _require_positive(lam, "lam")
     return 1.0 + EULER_GAMMA - math.log(lam)
 
 
@@ -118,8 +118,8 @@ def mutual_info_aen(signal_rate: float, noise_rate: float) -> float:
     ``_near_one_tail``, which keeps full relative accuracy. Always
     nonnegative.
     """
-    signal_rate = _require_rate(signal_rate, "signal_rate")
-    noise_rate = _require_rate(noise_rate, "noise_rate")
+    signal_rate = _require_positive(signal_rate, "signal_rate")
+    noise_rate = _require_positive(noise_rate, "noise_rate")
     hi, lo = max(signal_rate, noise_rate), min(signal_rate, noise_rate)
     if noise_rate > signal_rate:
         return EULER_GAMMA + _log_ratio(hi, lo) + _tail(hi, lo)
@@ -142,9 +142,9 @@ def cond_entropy_light(
     h(Y | L) = p_off * h(Y | off) + p_on * h(Y | on), where each branch is
     the sum entropy for (lambda_x, lambda_w_branch).
     """
-    lambda_x = _require_rate(lambda_x, "lambda_x")
-    lambda_w_on = _require_rate(lambda_w_on, "lambda_w_on")
-    lambda_w_off = _require_rate(lambda_w_off, "lambda_w_off")
+    lambda_x = _require_positive(lambda_x, "lambda_x")
+    lambda_w_on = _require_positive(lambda_w_on, "lambda_w_on")
+    lambda_w_off = _require_positive(lambda_w_off, "lambda_w_off")
     p = float(p_on)
     if not math.isfinite(p) or not 0.0 <= p <= 1.0:
         raise ValueError(f"p_on must lie in [0, 1], got {p_on!r}")

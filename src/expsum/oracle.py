@@ -196,12 +196,11 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_buf, sums):
-    """Draw, evaluate and reduce the chunks at ``starts`` in order, writing each
-    chunk's (sum, M2) into its row of ``sums``; return None, or the message of the
-    first chunk whose sum is not finite, where it stops. t is drawn into ``vals_buf``
-    and the lambda_lo draws and k go through ``k_buf``, one sub-block of its length
-    at a time; the work is elementwise, so the sub-blocks change no bit."""
+def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_buf) -> list:
+    """Draw, evaluate and reduce the chunks at ``starts`` in order; return the list of
+    their (sum, M2), or raise FloatingPointError at the first chunk whose sum is not
+    finite. t is drawn into ``vals_buf``, the lambda_lo draws and k into ``k_buf``,
+    one sub-block of its length at a time: the work is elementwise, so no bit moves."""
     import numpy as np
 
     hi, lo = rates
@@ -210,6 +209,7 @@ def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_bu
     rng_lo = np.random.default_rng(seed)
     rng_hi.bit_generator.advance(starts[0])  # each draw takes one uniform
     rng_lo.bit_generator.advance(n + starts[0])
+    pairs = []
     for start in starts:
         size = min(MC_CHUNK, n - start)
         vals = vals_buf[:size]
@@ -219,19 +219,19 @@ def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_bu
             exponential_draws(rng_hi, t.size, hi / lo, t)
             t += exponential_draws(rng_lo, t.size, 1.0, k)
             t, k = dist._unit_kernel(rates, t, 1.0, per_t, k)
-            with np.errstate(divide="ignore"):  # k = 0 gives t - ln k = inf, reported below
+            with np.errstate(divide="ignore"):  # k = 0 gives t - ln k = inf, raised below
                 t -= np.log(k, out=k)
         chunk_sum = float(np.add.reduce(vals))
         if not math.isfinite(chunk_sum):
             bad = int(np.argmin(np.isfinite(vals)))
-            return (
+            raise FloatingPointError(
                 f"Monte-Carlo estimate is not finite: t - ln k = {float(vals[bad])!r} at sample "
                 f"{start + bad} (rates {hi!r}, {lo!r}; n={n}, seed={seed})"
             )
         vals -= chunk_sum / size
         np.multiply(vals, vals, out=vals)
-        sums[start // MC_CHUNK] = chunk_sum, float(np.add.reduce(vals))
-    return None
+        pairs.append((chunk_sum, float(np.add.reduce(vals))))
+    return pairs
 
 
 def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError:
@@ -245,27 +245,28 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     (sample standard deviation over sqrt(n)). Bit-identical across runs
     with equal (rates, n, seed), whatever the number of cores.
 
-    The samples are streamed in chunks of ``MC_CHUNK``. The chunks are split
-    into at most two contiguous stripes, one per usable core; the calling
-    thread runs the first and one pool thread the second, or the calling
-    thread both when no thread can be started. Each stripe has its own pair
-    of generators, advanced to its first sample, so chunk i uses the same
-    uniforms as the one-shot stream. The calling thread allocates every
-    buffer: per stripe one of ``MC_CHUNK`` floats for t - ln k and one of
-    half as many for the lambda_lo draws and k, so no chunk allocates an
-    array and peak memory is at most three chunk buffers. Each chunk's sum
-    and sum of squared deviations M2 are then merged in chunk order, the
-    sums with Neumaier's compensation and the M2 values with the pairwise
-    update of Chan, Golub and LeVeque (1979), so memory does not grow with
-    n. For n <= ``MC_CHUNK`` there is one chunk, no thread is started, and
-    the estimates are bit-identical to the one-shot
+    The samples are streamed in chunks of ``MC_CHUNK``, split into at most
+    two contiguous stripes, one per usable core: the calling thread runs the
+    first and one pool thread the second, or the calling thread both when no
+    thread can be started. Each stripe has its own pair of generators,
+    advanced to its first sample, so chunk i uses the same uniforms as the
+    one-shot stream, and its own two buffers, allocated by the calling
+    thread: ``MC_CHUNK`` floats for t - ln k and half as many for the
+    lambda_lo draws and k, so no chunk allocates an array and peak memory is
+    at most three chunk buffers. The stripes return each chunk's sum and sum
+    of squared deviations M2, merged in chunk order, the sums with Neumaier's
+    compensation and the M2 values with the pairwise update of Chan, Golub
+    and LeVeque (1979). For n <= ``MC_CHUNK`` there is one chunk, no thread
+    is started, and the estimates are bit-identical to the one-shot
     ``vals.mean() - ln lambda_lo`` and ``vals.std(ddof=1)``; above that they
-    agree with the one-shot reduction to a few ulp (within 1 ulp of the
-    correctly rounded mean, and M2 within 1e-15 relative, on the cases
-    measured up to 10^7 samples).
+    agree with it to a few ulp (within 1 ulp of the correctly rounded mean,
+    and M2 within 1e-15 relative, on the cases measured up to 10^7 samples).
 
-    Raises FloatingPointError, naming the first offending sample, when the
-    estimate is not finite (t - ln k was inf or nan at a sample).
+    Raises FloatingPointError, naming the sample, where t - ln k is inf or nan.
+    Each stripe raises its own at its first such chunk. The second stripe's
+    error is raised only once the first stripe, which holds the lower chunks,
+    has finished, so the error raised is the lowest failing chunk's; either
+    leaves only after the pool thread has been joined.
     """
     import numpy as np
 
@@ -276,45 +277,35 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     # two stripes of 1.5 chunk buffers each hold peak memory at three buffers
     stripes = min(2, _usable_cores(), len(starts))
     cut = -(-len(starts) // stripes)
-    sums = np.empty((len(starts), 2))
     # allocated here, not in the pool thread, whose own malloc arena would add to peak memory
     half = -(-MC_CHUNK // 2)
     jobs = [
-        (rates, n, seed, part, np.empty(min(n, MC_CHUNK)), np.empty(min(n, half)), sums)
+        (rates, n, seed, part, np.empty(min(n, MC_CHUNK)), np.empty(min(n, half)))
         for part in (starts[:cut], starts[cut:])[:stripes]
     ]
     if stripes == 1:
-        failures = [_mc_stripe(*jobs[0])]
+        pairs = _mc_stripe(*jobs[0])
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             try:
-                later = pool.submit(_mc_stripe, *jobs[1])
+                second = pool.submit(_mc_stripe, *jobs[1]).result
             except RuntimeError:  # no thread could be started: the same work, here
-                later = None
-            failures = [_mc_stripe(*jobs[0])]
-            failures.append(_mc_stripe(*jobs[1]) if later is None else later.result())
-    failure = next(filter(None, failures), None)  # the lowest failing chunk
-    if failure is not None:
-        raise FloatingPointError(failure)
+                second = lambda: _mc_stripe(*jobs[1])  # noqa: E731
+            pairs = _mc_stripe(*jobs[0]) + second()
     total, carry, m2 = 0.0, 0.0, 0.0
-    for start, (chunk_sum, chunk_m2) in zip(starts, sums.tolist()):
+    for start, (chunk_sum, chunk_m2) in zip(starts, pairs):
         size = min(MC_CHUNK, n - start)
-        chunk_mean = chunk_sum / size
         if start:  # merge with the start samples before this chunk
-            delta = chunk_mean - (total + carry) / start
-            m2 += chunk_m2 + delta * delta * start * size / (start + size)
-        else:
-            m2 = chunk_m2
+            delta = chunk_sum / size - (total + carry) / start
+            chunk_m2 += delta * delta * start * size / (start + size)
+        m2 += chunk_m2
         # Neumaier summation: total + carry holds the sum of the chunk sums
         # to about one rounding, however many chunks there are
-        new_total = total + chunk_sum
-        if abs(total) >= abs(chunk_sum):
-            carry += (total - new_total) + chunk_sum
-        else:
-            carry += (chunk_sum - new_total) + total
-        total = new_total
+        big, small = (total, chunk_sum) if abs(total) >= abs(chunk_sum) else (chunk_sum, total)
+        total += chunk_sum
+        carry += (big - total) + small
     mean = (total + carry) / n - math.log(rates.lambda_lo)
     std = math.sqrt(m2 / (n - 1))
     return EstimateWithError(estimate=mean, std_error=std / math.sqrt(n), n_samples=n)

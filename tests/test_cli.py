@@ -675,6 +675,24 @@ print(loaded)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str([(False, False)] * 4)
 
+    def test_one_chunk_monte_carlo_does_not_load_concurrent_futures(self):
+        # only the two-stripe path imports it, which one chunk never takes
+        script = """
+import contextlib, io, sys
+import expsum.cli
+argv = ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "mc", "--n", "1000", "--seed", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert expsum.cli.main(argv) == 0
+print("numpy" in sys.modules, "concurrent.futures" in sys.modules)
+"""
+        src = str(pathlib.Path(expsum.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
+
     @pytest.mark.parametrize("workload", ["point", "figures", "oracle", "mc"])
     def test_benchmark_setup_probe_runs(self, tmp_path, workload):
         # the benchmark changes only on its own and still calls dist.HypoexpTwo;

@@ -50,7 +50,7 @@ class TestRatePair:
         hi, lo = pair
         assert (hi, lo) == pair == (2.0, 1.0)
         for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="must be a positive finite rate"):
+            with pytest.raises(ValueError, match="must be positive and finite"):
                 RatePair(bad, 1.0)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
@@ -159,9 +159,9 @@ class TestFullDomain:
         spacing 2^-1074 of the result, and one of t, d = gap y and e^(-t),
         carried through the factors that follow them, which are at most
         lambda_lo (r + k) in the pdf and 1 + lambda_lo/gap in the cdf.
-        Rounding those to subnormals loses relative precision where the pdf is
-        still a normal double, e.g. d at (1 + 1e-15, 1), y = 1e-300, or
-        e^(-t) at t > 708 with lambda_lo near DBL_MAX.
+        Rounding d to a subnormal loses relative precision where the pdf is
+        still a normal double, e.g. at (1 + 1e-15, 1), y = 1e-300; e^(-t) past
+        t = 708 no longer does (``test_normal_pdf_where_exp_minus_t_is_subnormal``).
         """
         d = RatePair(*pair)
         hi, lo = d
@@ -195,6 +195,14 @@ class TestFullDomain:
             hi = lo * (1.0 + 10.0 ** rng.uniform(-15, -3), 10.0 ** rng.uniform(0, 6), 1.0)[kind % 3]
             ys = 10.0 ** rng.uniform(-12, 1.7, 20) / lo
             assert_density_matches_mpmath(mp, RatePair(hi, lo), ys)
+
+    def test_normal_pdf_where_exp_minus_t_is_subnormal(self, mp):
+        # lambda_lo e^(-t) k is normal here though e^(-t) is subnormal or 0; the pdf
+        # lost 2.7e-3, 2.9e-12 and all of its value when it was formed from e^(-t)
+        with mp.workdps(50):
+            for hi, lo, y in ((DBL_MAX, 1.6e308, 4.625e-306), (1e300, 1e300, 7.2e-298),
+                              (1e300, 1e300, 1e-297)):
+                assert_density_matches_mpmath(mp, RatePair(hi, lo), [y])
 
     def test_ratio_past_dbl_max(self):
         # lambda_lo E alone underflows to 0 here; the pdf is 1e-200 e^(-1)

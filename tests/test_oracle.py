@@ -334,6 +334,44 @@ class TestMonteCarlo:
             entropy_monte_carlo(RatePair(3.0, 2.0), 6 * MC_CHUNK, seed=5)
         assert f"at sample {min(samples)} " in str(info.value)
 
+    @pytest.mark.parametrize("samples", [[4 * MC_CHUNK + 3], [4 * MC_CHUNK + 3, MC_CHUNK + 7]])
+    def test_a_thread_that_cannot_start_still_names_the_lower_index(self, monkeypatch, samples):
+        # the calling thread runs the second stripe after the first
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", self.refuse)
+        self.plant_zeros(monkeypatch, 6 * MC_CHUNK, samples)
+        with pytest.raises(FloatingPointError) as info:
+            entropy_monte_carlo(RatePair(3.0, 2.0), 6 * MC_CHUNK, seed=5)
+        assert f"at sample {min(samples)} " in str(info.value)
+
+    @pytest.mark.parametrize("samples", [[7], [4 * MC_CHUNK + 3]])
+    def test_no_thread_outlives_a_failure(self, monkeypatch, samples):
+        # at sample 7 the calling thread raises while the pool thread has its three chunks to run
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
+        started = self.record_starts(monkeypatch)
+        self.plant_zeros(monkeypatch, 6 * MC_CHUNK, samples)
+        with pytest.raises(FloatingPointError, match=f"at sample {samples[0]} "):
+            entropy_monte_carlo(RatePair(3.0, 2.0), 6 * MC_CHUNK, seed=5)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+
+    @staticmethod
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    @staticmethod
+    def record_starts(monkeypatch):
+        """Record each thread started from here on; returns the list of them."""
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        return started
+
     @staticmethod
     def hex_by_cores(monkeypatch, rates, n, seed, cores):
         monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
@@ -360,14 +398,7 @@ class TestMonteCarlo:
         assert one == two
 
     def test_a_thread_is_started_only_for_two_chunks_and_two_cores(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def recording(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recording)
+        started = self.record_starts(monkeypatch)
         self.hex_by_cores(monkeypatch, (2.0, 1.0), MC_CHUNK, 1, 2)
         self.hex_by_cores(monkeypatch, (2.0, 1.0), MC_CHUNK + 1, 1, 1)
         assert started == []
@@ -377,11 +408,7 @@ class TestMonteCarlo:
 
     def test_a_thread_that_cannot_start_changes_no_bit(self, monkeypatch):
         expected = self.hex_by_cores(monkeypatch, (5.0, 0.3), 3 * MC_CHUNK + 5, 7, 2)
-
-        def refuse(thread):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(threading.Thread, "start", self.refuse)
         assert self.hex_by_cores(monkeypatch, (5.0, 0.3), 3 * MC_CHUNK + 5, 7, 2) == expected
 
 
