@@ -207,20 +207,17 @@ def _fig2_columns(grid_points: int):
 
 
 def _csv_column(column) -> list:
-    """The CSV text of each cell of a column: "" for None, a str itself, and
-    for a number its ``_fmt17_list`` text."""
-    numbers = [v for v in column if v is not None and not isinstance(v, str)]
-    text = _fmt17_list(numbers)
-    if len(numbers) == len(column):
-        return text
-    text = iter(text)
-    return ["" if v is None else v if isinstance(v, str) else next(text) for v in column]
+    """The CSV text of each cell of a column of one kind, told by its first
+    cell: "" for None, a str itself, and a number its ``_fmt17_list`` text."""
+    if column[0] is None:
+        return [""] * len(column)
+    return column if isinstance(column[0], str) else _fmt17_list(column)
 
 
 def _render_csv(header, blocks):
-    """Yield the CSV text of the rows in pieces: the header line, then one
-    piece per block, a non-empty list of equal-length columns, one line per
-    row, the numbers of each column formatted by one ``_fmt17_list`` call."""
+    """Yield the CSV text of the rows in pieces: the header line, then one piece
+    per block, a non-empty list of equal-length columns that each hold one kind
+    of value (all None, all str or all numbers), one line per row."""
     yield ",".join(header) + "\n"
     for columns in blocks:
         cells = [_csv_column(column) for column in columns]
@@ -230,9 +227,9 @@ def _render_csv(header, blocks):
 def _render_json(header, blocks):
     """Yield, in pieces, the bytes of ``json.dumps(records, indent=2) + "\n"``
     for the records ``dict(zip(header, row))`` of the rows of ``blocks``, each
-    a non-empty list of equal-length columns of scalars: "[\n", then one piece
-    per block with ",\n" between blocks, then "\n]\n"; "[]\n" alone when there
-    are no blocks.
+    a non-empty list of equal-length columns, each column of one kind of value
+    as in ``_render_csv``: "[\n", then one piece per block with ",\n" between
+    blocks, then "\n]\n"; "[]\n" alone when there are no blocks.
 
     json's own encoder writes each column of a block in one call, with a newline
     between items; json escapes newlines inside strings, so splitting

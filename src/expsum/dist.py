@@ -91,14 +91,19 @@ def hypoexp_pdf(rates: RatePair, y):
 
     lambda_lo (e^(-t) k): the bracket is at most max(1/e, r), so nothing overflows,
     and lambda_lo E, which underflows for ratios of rates past DBL_MAX, is never formed.
-    Past t = 708, where e^(-t) is subnormal, lambda_lo e^(-t) is formed as
-    e^(ln lambda_lo - t) where lambda_lo > 1, so that a normal pdf keeps its precision.
+    So that a normal pdf keeps its precision, k is lambda_hi y where d = gap y is
+    subnormal, and past t = 708, where e^(-t) is subnormal, lambda_lo e^(-t) is formed
+    as e^(ln lambda_lo - t) where lambda_lo > 1.
     """
     import numpy as np
 
     hi, lo = rates
     arr = np.asarray(y, dtype=float)
-    t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
+    y_pos = np.maximum(arr, 0.0)
+    t, k = _unit_kernel(rates, y_pos, lo, hi - lo)
+    if hi > lo:  # where d is subnormal, 1 - e^(-d) = d: k = lambda_hi y, not r d rounded
+        with np.errstate(over="ignore"):
+            k = np.where(y_pos * (hi - lo) < 2.0**-1022, hi * y_pos, k)
     pdf = lo * (np.exp(-t) * k)
     if lo > 1.0:  # e^(ln lambda_lo - t) <= e^1.8 at t >= 708: no overflow where it is dropped
         pdf = np.where(t > 708.0, np.exp(math.log(lo) - np.maximum(t, 708.0)) * k, pdf)

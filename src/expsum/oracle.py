@@ -47,7 +47,8 @@ from .specfun import _require_positive
 class ConvergenceError(RuntimeError):
     """Raised when a quadrature cannot reach its tolerance: the tail bound stays above a tenth
     of it at every T tried (or v/u < DBL_MIN), the error estimate is not finite, or the
-    subdivision budget runs out."""
+    subdivision budget runs out. Each panel's estimate is at least 50 eps |its Kronrod value|
+    (QUADPACK's round-off floor), so a tolerance below what doubles resolve raises."""
 
 
 #: A Monte-Carlo estimate with its standard error and sample count.
@@ -56,6 +57,10 @@ EstimateWithError = namedtuple("EstimateWithError", "estimate std_error n_sample
 
 #: Panel splits the adaptive integrator may make before it gives up.
 MAX_SUBDIVISIONS = 2000
+
+# QUADPACK dqk15's floor on a panel's error estimate, as a multiple of |Kronrod value|:
+# K and G can round to one double, so |K - G| alone may read 0 (Piessens et al. 1983)
+_ROUNDOFF = 50.0 * 2.0**-52
 
 #: Samples drawn and evaluated per chunk by ``entropy_monte_carlo``. Each of
 #: its at most two stripes keeps one buffer of this many floats and one of
@@ -115,13 +120,16 @@ def _adaptive(f, tail, abs_tol: float) -> float:
     nodes, rule = np.array(_NODES), np.array(_RULE)
 
     def panels(mids, halves):
-        """(Kronrod value, |Kronrod - Gauss|) on each panel, given its midpoint and half-width."""
+        """(Kronrod value, error estimate) on each panel, given its midpoint and half-width:
+        |Kronrod - Gauss|, raised to QUADPACK's round-off floor 50 eps |Kronrod|."""
         x = np.array(mids)[:, None] + np.multiply.outer(halves, nodes)
         fx = np.asarray(f(x.ravel()), dtype=float)
         # rows @ rule, like 1-D dots, is an OpenBLAS sum whose bits depend on the runtime kernel;
         # on OpenBLAS 0.3.31's SkylakeX kernel the two agree on 1,000+ quadrature values
         kg = (fx.reshape(-1, 15) @ rule).tolist()
-        return [(h * k, abs(h * k - h * g)) for h, (k, g) in zip(halves, kg)]
+        # a nan |K - G| comes first in max, so it stays nan
+        return [(v := h * k, max(abs(v - h * g), _ROUNDOFF * abs(v)))
+                for h, (k, g) in zip(halves, kg)]
 
     step = t_max / 4
     edges = [i * step for i in range(4)] + [t_max]  # np.linspace(0, t_max, 5) as Python floats

@@ -599,22 +599,24 @@ def rendered(render, header, columns):
 
 
 def render_corpus():
-    """(header, columns) cases over every kind of value a cell can hold."""
+    """(header, columns) cases over every kind of value a cell can hold, each
+    column of one kind (all None, all str or all numbers), as the renderers take."""
     rng = np.random.default_rng(1121)
-    pool = [
-        None, "hypoexp", 'quote " and \\ backslash', "line\nbreak", "caf\u00e9 \u2028", "%s %%",
+    strings = ["hypoexp", 'quote " and \\ backslash', "line\nbreak", "caf\u00e9 \u2028", "%s %%"]
+    numbers = [
         -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e16, 1e-5, 1e-4,
         0.1, 0.5, 1.0 / 3.0, 123456.789, 1.7976931348623157e308, -2.5,
         math.nan, math.inf, -math.inf, 1, True, False,
     ]
     floats = (10.0 ** rng.uniform(-8, 20, 300) * rng.choice([-1.0, 1.0], 300)).tolist()
-    picks = rng.integers(0, len(pool), (3, 300)).tolist()
-    mixed = [[pool[i] for i in row] for row in picks]
+    strs, nums = ([pool[i] for i in rng.integers(0, len(pool), 300).tolist()]
+                  for pool in (strings, numbers))
     repeated = [floats[i] for i in rng.integers(0, 7, 300).tolist()]
     header = ["a", "b c", 'q"k', "%d", "caf\u00e9", "f"]
     return [
-        (header, [*mixed, floats, repeated, floats[::-1]]),
-        (["x", "y"], [[1.5, None, "s", math.nan, math.inf], [1.5, 1.5, 1.5, math.nan, -math.inf]]),
+        (header, [strs, [None] * 300, nums, floats, repeated, floats[::-1]]),
+        (["x", "y", "s", "n"],
+         [[1.5, 1.5, 1.5, math.nan, math.inf], [1.5, 1.5, 1.5, math.nan, -math.inf], ["s"] * 5, [None] * 5]),
         (["only"], [[-0.0, 0.0, math.nan, math.nan]]),
         (["x", "y"], [[], []]),
         ([], []),
@@ -638,6 +640,18 @@ class TestRenderers:
         for header, columns in render_corpus():
             assert rendered(cli._render_csv, header, columns) == csv_reference(header, columns)
             assert rendered(cli._render_json, header, columns) == json_reference(header, columns)
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_figure_columns_hold_one_kind(self, monkeypatch, block):
+        # _csv_column tells a column's kind by its first cell: a None column
+        # that also held numbers would print blank cells
+        monkeypatch.setattr(cli, "FIGURE_BLOCK", block)
+        for columns_of in (cli._fig1_columns, cli._fig2_columns):
+            for n in (2, 7, 2000):
+                for columns in columns_of(n)[1]:
+                    for column in columns:
+                        kinds = set(map(type, column))
+                        assert len(kinds) == 1 and kinds <= {type(None), str, float}, (n, kinds)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

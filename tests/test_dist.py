@@ -146,6 +146,11 @@ FULL_YS = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-20, 1e-5, 1.0, 1e5, 1
 FULL_TS = [1e-300, 1e-20, 1e-8, 1e-3, 0.1, 1.0, 3.0, 10.0, 100.0, 700.0, 740.0]
 
 
+def full_ys(lo):
+    """``FULL_YS`` and the ``FULL_TS`` points at lambda_lo = ``lo`` that are finite."""
+    return FULL_YS + [t / lo for t in FULL_TS if t / lo < math.inf]
+
+
 class TestFullDomain:
     """pdf and cdf over every valid rate pair and y from 0 to +inf, against
     mpmath, with RuntimeWarnings as errors (as in every tier-1 run)."""
@@ -158,14 +163,13 @@ class TestFullDomain:
         Each bound adds the absolute error of rounding to subnormals: one
         spacing 2^-1074 of the result, and one of t, d = gap y and e^(-t),
         carried through the factors that follow them, which are at most
-        lambda_lo (r + k) in the pdf and 1 + lambda_lo/gap in the cdf.
-        Rounding d to a subnormal loses relative precision where the pdf is
-        still a normal double, e.g. at (1 + 1e-15, 1), y = 1e-300; e^(-t) past
-        t = 708 no longer does (``test_normal_pdf_where_exp_minus_t_is_subnormal``).
+        lambda_lo (r + k) in the pdf and 1 + lambda_lo/gap in the cdf. Where
+        the pdf is a normal double it needs no such allowance
+        (``test_normal_pdf_keeps_its_relative_precision``).
         """
         d = RatePair(*pair)
         hi, lo = d
-        ys = FULL_YS + [t / lo for t in FULL_TS if t / lo < math.inf]
+        ys = full_ys(lo)
         pdf, cdf = hypoexp_pdf(d, np.array(ys)).tolist(), hypoexp_cdf(d, np.array(ys)).tolist()
         big_h, big_l = mp.mpf(hi), mp.mpf(lo)
         gap = big_h - big_l
@@ -195,6 +199,19 @@ class TestFullDomain:
             hi = lo * (1.0 + 10.0 ** rng.uniform(-15, -3), 10.0 ** rng.uniform(0, 6), 1.0)[kind % 3]
             ys = 10.0 ** rng.uniform(-12, 1.7, 20) / lo
             assert_density_matches_mpmath(mp, RatePair(hi, lo), ys)
+
+    def test_normal_pdf_keeps_its_relative_precision(self, mp):
+        """Every pdf value at least DBL_MIN on the full domain is within 1e-15 max(1, t)
+        relative, with no allowance for t, d = gap y or e^(-t) rounded to subnormals;
+        where d was subnormal, as at (1 + 1e-15, 1), y = 1e-300, the pdf lost 6.3e-10."""
+        for pair in FULL_PAIRS:
+            d = RatePair(*pair)
+            ys = [y for y in full_ys(d.lambda_lo) if y < math.inf]
+            for y, p in zip(ys, hypoexp_pdf(d, np.array(ys)).tolist()):
+                f = mp_density(mp, d, y)[0]
+                if f >= 2.0**-1022:
+                    t = d.lambda_lo * y
+                    assert abs(p - f) <= 1e-15 * max(1.0, t) * f, (d, y, p)
 
     def test_normal_pdf_where_exp_minus_t_is_subnormal(self, mp):
         # lambda_lo e^(-t) k is normal here though e^(-t) is subnormal or 0; the pdf

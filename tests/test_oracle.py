@@ -2,6 +2,9 @@
 
 import inspect
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -442,6 +445,27 @@ class TestGrLogIntegral:
     def test_tolerance_below_double_resolution_raises(self):
         with pytest.raises(ConvergenceError):
             gr_log_integral(1.0, 1.0, abs_tol=1e-30)
+
+    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge", "Prescott"])
+    def test_tolerance_below_double_resolution_raises_on_every_blas_kernel(self, kernel):
+        # under Prescott K and G round to one double on some panel, so |K - G| alone
+        # reads 0 there; the round-off floor keeps every panel's estimate above 1e-30
+        script = """
+from expsum.oracle import ConvergenceError, gr_log_integral
+try:
+    print(gr_log_integral(1.0, 1.0, abs_tol=1e-30))
+except ConvergenceError:
+    print("raised")
+"""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(pathlib.Path(oracle.__file__).resolve().parent.parent)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"
 
     #: Rates from the smallest subnormal to DBL_MAX; every ordered pair is a case.
     FULL_DOMAIN_RATES = (
