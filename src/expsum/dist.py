@@ -63,25 +63,26 @@ def HypoexpTwo(rates: RatePair) -> RatePair:
     return rates
 
 
-def _unit_kernel(rates: RatePair, x, t_per_x, d_per_x, out=None):
-    """(t, k) for t = t_per_x x, d = gap y = d_per_x x and k = lambda_hi E:
-    the density is f(y) = lambda_lo e^(-t) k in the unit scale t = lambda_lo y.
-
+def _unit_kernel(rates: RatePair, x, scale, out=None):
+    """(t, k) for t = scale x and k = lambda_hi E: the density is f(y) = lambda_lo e^(-t) k
+    in the unit scale t = lambda_lo y. ``scale`` is lambda_lo where x is y (pdf, CDF), and
+    1.0 where x is t (quadratures, Monte Carlo) and is returned as t. d = gap y is formed
+    as x (gap/(lambda_lo/scale)): that divisor is exactly 1.0 or lambda_lo, so the factor
+    takes one rounding, and t/lambda_lo, which overflows where t does, is never formed.
     k = r (1 - e^(-d)) with r = lambda_hi/gap <= 2^53, or t at gap = 0,
     where d is not formed and t is capped at DBL_MAX, so that e^(-t) k is 0,
     not 0 * inf, at t = +inf. t or d overflowing to +inf is exact here.
-    k is written into ``out``, which must not share memory with ``x``, when
-    given; t is ``x`` itself at t_per_x = 1.
+    k is written into ``out``, which must not share memory with ``x``, when given.
     """
     import numpy as np
 
     hi, lo = rates
     with np.errstate(over="ignore"):
-        t = x if t_per_x == 1.0 else t_per_x * x
+        t = x if scale == 1.0 else scale * x
         if hi == lo:
             k = np.minimum(t, _DBL_MAX, out=out)
         else:
-            k = np.expm1(np.multiply(x, -d_per_x, out=out), out=out)
+            k = np.expm1(np.multiply(x, -((hi - lo) / (lo / scale)), out=out), out=out)
             k = np.multiply(k, -(hi / (hi - lo)), out=out)
     return t, k
 
@@ -100,7 +101,7 @@ def hypoexp_pdf(rates: RatePair, y):
     hi, lo = rates
     arr = np.asarray(y, dtype=float)
     y_pos = np.maximum(arr, 0.0)
-    t, k = _unit_kernel(rates, y_pos, lo, hi - lo)
+    t, k = _unit_kernel(rates, y_pos, lo)
     if hi > lo:  # where d is subnormal, 1 - e^(-d) = d: k = lambda_hi y, not r d rounded
         with np.errstate(over="ignore"):
             k = np.where(y_pos * (hi - lo) < 2.0**-1022, hi * y_pos, k)
@@ -120,7 +121,7 @@ def hypoexp_cdf(rates: RatePair, y):
 
     hi, lo = rates
     arr = np.asarray(y, dtype=float)
-    t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo, hi - lo)
+    t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo)
     val = np.clip(-np.expm1(-t) - lo / hi * (np.exp(-t) * k), 0.0, 1.0)
     return _ret(np.where(arr < 0.0, 0.0, val), arr)
 

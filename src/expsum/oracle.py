@@ -19,8 +19,8 @@ The entropy oracles work in the unit scale t = lambda_lo y: the entropy
 is a scale family, h(Y) = h(lambda_lo Y) - ln lambda_lo, and f(y) =
 lambda_lo g(t) with g = e^(-t) k, k from ``dist._unit_kernel``, so
 h = -ln lambda_lo + int g (t - ln k) dt, which the quadratures integrate
-and Monte Carlo averages over samples of t. With d = gap y formed as
-t (gap/lambda_lo), one domain [0, T] serves every rate pair: for t >= 1,
+and Monte Carlo averages over samples of t. The kernel forms d = gap y
+from t itself, so one domain [0, T] serves every rate pair: for t >= 1,
 1 <= k <= 2t (k grows with t, is (1 + x)(1 - e^(-x))/x >= 1 at t = 1 for
 x = gap/lambda_lo, and is at most t lambda_hi/lambda_lo and at most
 lambda_hi/gap), so the tail of g |t - ln k| beyond T is below
@@ -150,7 +150,7 @@ def _adaptive(f, tail, abs_tol: float) -> float:
                 raise ConvergenceError(
                     f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
                     f"after {splits} subdivisions of [0.0, {t_max!r}] "
-                    f"({15 * (4 + 2 * splits)} integrand points); "
+                    f"({15 * (len(edges) - 1 + 2 * splits)} integrand points); "
                     f"worst panel [{pa!r}, {pb!r}] with estimated error {-neg_err:.3e}"
                 )
             neg_err, pa, pb, _ = heapq.heappop(heap)  # on a tie, the lower a: panels are disjoint
@@ -166,15 +166,14 @@ def _adaptive(f, tail, abs_tol: float) -> float:
 
 
 def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
-    """int_0^T integrand(t, g, k) dt over the unit scale, with T from the tail
-    bound, (t, k) from ``dist._unit_kernel`` at d = t (gap/lambda_lo) and g = e^(-t) k."""
+    """int_0^T integrand(t, g, k) dt over the unit scale, with T from the tail bound,
+    (t, k) from ``dist._unit_kernel`` at scale 1.0, which forms d, and g = e^(-t) k."""
     import numpy as np
 
     abs_tol = _require_positive(abs_tol, "abs_tol")
-    per_t = (rates.lambda_hi - rates.lambda_lo) / rates.lambda_lo  # not t/lambda_lo: overflows
 
     def unit_integrand(x):
-        t, k = dist._unit_kernel(rates, x, 1.0, per_t)
+        t, k = dist._unit_kernel(rates, x, 1.0)
         return integrand(t, np.exp(-t) * k, k)
 
     tail = lambda t: 2.0 * math.exp(-t) * (t * t + 2.0 * t + 2.0)  # noqa: E731
@@ -212,7 +211,6 @@ def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_bu
     import numpy as np
 
     hi, lo = rates
-    per_t = (hi - lo) / lo  # d = gap y per unit of t, as in the quadratures
     rng_hi = np.random.default_rng(seed)
     rng_lo = np.random.default_rng(seed)
     rng_hi.bit_generator.advance(starts[0])  # each draw takes one uniform
@@ -226,7 +224,7 @@ def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_bu
             k = k_buf[: t.size]
             exponential_draws(rng_hi, t.size, hi / lo, t)
             t += exponential_draws(rng_lo, t.size, 1.0, k)
-            t, k = dist._unit_kernel(rates, t, 1.0, per_t, k)
+            t, k = dist._unit_kernel(rates, t, 1.0, k)
             with np.errstate(divide="ignore"):  # k = 0 gives t - ln k = inf, raised below
                 t -= np.log(k, out=k)
         chunk_sum = float(np.add.reduce(vals))

@@ -1,6 +1,6 @@
-"""Shared test plumbing: collects acceptance results and prints one
-pass/fail line per criterion at the end of the run, and holds the mpmath
-reference shared by the accuracy tests."""
+"""Shared test plumbing: reports numpy's SIMD dispatch in the header, collects
+acceptance results and prints one pass/fail line per criterion at the end of
+the run, and holds the mpmath reference shared by the accuracy tests."""
 
 import math
 
@@ -11,6 +11,18 @@ ACCEPTANCE_RESULTS = []
 
 def record_acceptance(num, desc, ok, detail=""):
     ACCEPTANCE_RESULTS.append((num, desc, bool(ok), detail))
+
+
+def pytest_report_header(config):
+    """numpy's version and the SIMD targets it dispatches to: its exp, log, expm1, log1p
+    and geomspace, and so the quadrature and figure bit goldens, depend on them."""
+    import numpy as np
+
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return (
+        f"numpy {np.__version__}, SIMD dispatch: {' '.join(found) or 'baseline only'}; "
+        "bit goldens recorded with X86_V4 (AVX-512)"
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -315,21 +315,19 @@ class TestOutBuffers:
     @pytest.mark.parametrize("pair", [(5.0, 0.3), (2.0, 2.0), (1e-310, 5e-311), (1e12, 1.0)])
     def test_unit_kernel_fills_out(self, pair):
         d = RatePair(*pair)
-        hi, lo = d
         x = np.array(FULL_YS)
-        for t_per_x, d_per_x in ((lo, hi - lo), (1.0, (hi - lo) / lo)):
-            t, k = dist._unit_kernel(d, x, t_per_x, d_per_x)
+        for scale in (d.lambda_lo, 1.0):
+            t, k = dist._unit_kernel(d, x, scale)
             buf = np.empty_like(x)
-            got_t, got_k = dist._unit_kernel(d, x, t_per_x, d_per_x, buf)
+            got_t, got_k = dist._unit_kernel(d, x, scale, buf)
             assert got_k is buf
             assert (got_t.tobytes(), got_k.tobytes()) == (t.tobytes(), k.tobytes())
 
     @pytest.mark.parametrize("pair", [(5.0, 0.3), (2.0, 2.0)])
     def test_unit_kernel_of_a_scalar_is_a_scalar(self, pair):
         d = RatePair(*pair)
-        hi, lo = d
-        for t_per_x in (1.0, lo):
-            t, k = dist._unit_kernel(d, 0.7, t_per_x, hi - lo)
+        for scale in (1.0, d.lambda_lo):
+            t, k = dist._unit_kernel(d, 0.7, scale)
             assert isinstance(t, float) and isinstance(k, float)
         assert type(hypoexp_pdf(d, 0.7)) is type(hypoexp_cdf(d, 0.7)) is float
 

@@ -126,6 +126,19 @@ class TestAdaptive:
         assert "of [0.0, 20.0]" in str(info.value)
         assert str(info.value).endswith("; worst panel [15.0, 20.0] with estimated error nan")
 
+    def test_budget_exhaustion_counts_the_points_the_integrand_saw(self, monkeypatch):
+        seen = []
+
+        def f(x):
+            seen.append(x.size)
+            return np.exp(-x)
+
+        monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 3)
+        with pytest.raises(ConvergenceError) as info:
+            oracle._adaptive(f, lambda t: 0.0, 1e-30)
+        assert "after 3 subdivisions of [0.0, 20.0]" in str(info.value)
+        assert f"({sum(seen)} integrand points)" in str(info.value)
+
     @pytest.mark.parametrize("inf", [math.inf, -math.inf])
     def test_infinite_integrand_is_not_convergence(self, inf):
         # a zero Gauss weight times inf is nan: no RuntimeWarning reaches the caller
@@ -189,8 +202,7 @@ class TestMonteCarlo:
     @classmethod
     def one_shot_values(cls, rates, n, seed):
         """t - ln k at the n samples of ``unit_draws``."""
-        hi, lo = d = RatePair(*rates)
-        t, k = dist._unit_kernel(d, cls.unit_draws(rates, n, seed), 1.0, (hi - lo) / lo)
+        t, k = dist._unit_kernel(RatePair(*rates), cls.unit_draws(rates, n, seed), 1.0)
         return t - np.log(k)
 
     @staticmethod
