@@ -141,7 +141,8 @@ def _slices(grid):
 
 def _fig1_columns(grid_points: int):
     """The header (curve, lambda_w, lambda_x, entropy_nats) and a generator of
-    the long-format rows as blocks of columns, each computed when it is reached.
+    the long-format rows as blocks of columns, each computed when it is reached;
+    a block's curve and lambda_w columns are one value each (``_render_csv``).
 
     Ten fixed-noise curves with lambda_w stepping 0.2 .. 2.0 in increments
     of 0.2 and lambda_x sweeping up to just below lambda_w, plus the
@@ -157,14 +158,14 @@ def _fig1_columns(grid_points: int):
             # lambda_w > lambda_x on each fixed-noise curve, as the array form needs
             for x in _slices(np.geomspace(0.01, lam_w * (1.0 - 1e-3), grid_points)):
                 h = entropy_mod.hypoexp_entropy_array(np.full(x.size, lam_w), x)
-                yield [["hypoexp"] * x.size, [lam_w] * x.size, x.tolist(), h.tolist()]
+                yield ["hypoexp", lam_w, x.tolist(), h.tolist()]
         shared = np.geomspace(0.01, 2.0, grid_points)
         for x in _slices(shared):  # equal rates give the Erlang-2 entropy
             xs = x.tolist()
-            yield [["erlang2"] * x.size, xs, xs, entropy_mod.hypoexp_entropy_array(x, x).tolist()]
+            yield ["erlang2", xs, xs, entropy_mod.hypoexp_entropy_array(x, x).tolist()]
         for x in _slices(shared):
             xs = x.tolist()
-            yield [["single"] * x.size, [None] * x.size, xs, list(map(entropy_mod.exp_entropy, xs))]
+            yield ["single", None, xs, list(map(entropy_mod.exp_entropy, xs))]
 
     return ["curve", "lambda_w", "lambda_x", "entropy_nats"], blocks()
 
@@ -177,7 +178,7 @@ def _fig2_columns(grid_points: int):
     where the curve touches the Erlang-2 line, is added so the contact
     appears exactly in the data. Each block forms its rate pairs
     elementwise as ``mean_constrained_rates`` does: lambda/(lambda - 1),
-    then the larger and the smaller of the two.
+    then the larger and the smaller of the two. Each reference is one float.
     """
     import numpy as np
 
@@ -200,15 +201,14 @@ def _fig2_columns(grid_points: int):
             other = x / (x - 1.0)
             hi, lo = np.maximum(x, other), np.minimum(x, other)
             h = entropy_mod.hypoexp_entropy_array(hi, lo)
-            refs = ([ref] * x.size for ref in references)
-            yield [x.tolist(), lo.tolist(), hi.tolist(), h.tolist(), *refs]
+            yield [x.tolist(), lo.tolist(), hi.tolist(), h.tolist(), *references]
 
     return header, blocks()
 
 
 def _csv_column(column) -> list:
-    """The CSV text of each cell of a column of one kind, told by its first
-    cell: "" for None, a str itself, and a number its ``_fmt17_list`` text."""
+    """Each cell's CSV text, for a list of one kind or a one-value column's ``[value]``,
+    told by the first cell: "" for None, a str itself, a number its ``_fmt17_list`` text."""
     if column[0] is None:
         return [""] * len(column)
     return column if isinstance(column[0], str) else _fmt17_list(column)
@@ -216,34 +216,39 @@ def _csv_column(column) -> list:
 
 def _render_csv(header, blocks):
     """Yield the CSV text of the rows in pieces: the header line, then one piece
-    per block, a non-empty list of equal-length columns that each hold one kind
-    of value (all None, all str or all numbers), one line per row."""
+    per block, one line per row. A block holds at least one list column, all of one
+    length and each of one kind (all None, all str or all numbers); a one-value column
+    (None, a str or a number) fills every row and is baked into the block's row template."""
     yield ",".join(header) + "\n"
     for columns in blocks:
-        cells = [_csv_column(column) for column in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        texts = [_csv_column(col) for col in columns if isinstance(col, list)]
+        row = ",".join("%s" if isinstance(col, list)
+                       else _csv_column([col])[0].replace("%", "%%") for col in columns)
+        yield "\n".join(map(row.__mod__, zip(*texts))) + "\n"
 
 
 def _render_json(header, blocks):
     """Yield, in pieces, the bytes of ``json.dumps(records, indent=2) + "\n"``
-    for the records ``dict(zip(header, row))`` of the rows of ``blocks``, each
-    a non-empty list of equal-length columns, each column of one kind of value
-    as in ``_render_csv``: "[\n", then one piece per block with ",\n" between
-    blocks, then "\n]\n"; "[]\n" alone when there are no blocks.
+    for the records ``dict(zip(header, row))`` of the rows of ``blocks``, whose
+    columns are as in ``_render_csv``: "[\n", then one piece per block with ",\n"
+    between blocks, then "\n]\n"; "[]\n" alone when there are no blocks. A block's
+    record template holds each one-value column's ``json.dumps`` text.
 
-    json's own encoder writes each column of a block in one call, with a newline
-    between items; json escapes newlines inside strings, so splitting
-    there gives each value's text. One template per record lays them out.
+    json's own encoder writes each list in one call, with a newline between items;
+    json escapes newlines in strings, so splitting there gives each value's text.
     """
     import json
 
     keys = [json.dumps(key).replace("%", "%%") for key in header]
-    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
     opening = "[\n"
     for columns in blocks:
-        cells = [json.dumps(col, separators=("\n", ": "))[1:-1].split("\n") for col in columns]
+        texts = [json.dumps(col, separators=("\n", ": "))[1:-1].split("\n")
+                 for col in columns if isinstance(col, list)]
+        values = ("%s" if isinstance(col, list) else json.dumps(col).replace("%", "%%")
+                  for col in columns)
+        record = ",\n".join(f"    {key}: {value}" for key, value in zip(keys, values))
         yield opening
-        yield ",\n".join(map(template.__mod__, zip(*cells)))
+        yield ",\n".join(map(("  {\n" + record + "\n  }").__mod__, zip(*texts)))
         opening = ",\n"
     yield "[]\n" if opening == "[\n" else "\n]\n"
 

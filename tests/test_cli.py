@@ -391,6 +391,32 @@ class TestFigureCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FIGURES[f"fig1 {fmt} 2000"]
 
+    @pytest.mark.parametrize("figure, numbers", [("fig1", 50_020), ("fig2", 8_008)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_repeated_value_is_formatted_once(self, monkeypatch, figure, numbers, fmt):
+        # fig1's lambda_w and fig2's two references are one value per block of
+        # 1024 rows; formatted per row they would make 70,000 and 12,006 numbers
+        handed = []
+        fmt17_list, dumps = cli._fmt17_list, json.dumps
+
+        def counting_fmt17_list(values):
+            handed.append(len(values))
+            return fmt17_list(values)
+
+        def counting_dumps(value, **kwargs):
+            cells = value if isinstance(value, list) else [value]
+            handed.append(sum(type(v) in (int, float) for v in cells))
+            return dumps(value, **kwargs)
+
+        monkeypatch.setattr(cli, "FIGURE_BLOCK", 1024)
+        if fmt == "csv":
+            monkeypatch.setattr(cli, "_fmt17_list", counting_fmt17_list)
+        else:
+            monkeypatch.setattr(json, "dumps", counting_dumps)
+        argv = ["figure", figure, "--grid-points", "2000", "--format", fmt, "--out", os.devnull]
+        assert main(argv) == 0
+        assert sum(handed) == numbers
+
     @staticmethod
     def traced_peak(fn, *args):
         tracemalloc.start()
@@ -576,31 +602,46 @@ class TestFormat17:
         assert cli._csv_column(values) == list(map(_fmt17, values))
 
 
+def row_count(columns):
+    """The length of the list columns; a one-value column stands for every row."""
+    return next((len(column) for column in columns if isinstance(column, list)), 0)
+
+
+def expanded(columns):
+    """The columns with each one-value column repeated to the row count."""
+    rows = row_count(columns)
+    return [column if isinstance(column, list) else [column] * rows for column in columns]
+
+
 def csv_reference(header, columns):
     """The row-by-row CSV writer: one _fmt17 call per numeric cell."""
     lines = [",".join(header)]
-    for row in zip(*columns):
+    for row in zip(*expanded(columns)):
         cells = ("" if v is None else v if isinstance(v, str) else _fmt17(v) for v in row)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def json_reference(header, columns):
-    return json.dumps([dict(zip(header, row)) for row in zip(*columns)], indent=2) + "\n"
+    records = [dict(zip(header, row)) for row in zip(*expanded(columns))]
+    return json.dumps(records, indent=2) + "\n"
 
 
 def rendered(render, header, columns):
-    """The text ``render`` makes of equal-length columns cut into blocks of
-    ``cli.FIGURE_BLOCK`` rows, as the figure builders yield them."""
+    """The text ``render`` makes of equal-length list columns cut into blocks of
+    ``cli.FIGURE_BLOCK`` rows, as the figure builders yield them; a one-value
+    column is passed to every block unchanged."""
     size = cli.FIGURE_BLOCK
-    rows = len(columns[0]) if columns else 0
-    blocks = ([column[s : s + size] for column in columns] for s in range(0, rows, size))
+    rows = row_count(columns)
+    blocks = ([column[s : s + size] if isinstance(column, list) else column for column in columns]
+              for s in range(0, rows, size))
     return "".join(render(header, blocks))
 
 
 def render_corpus():
     """(header, columns) cases over every kind of value a cell can hold, each
-    column of one kind (all None, all str or all numbers), as the renderers take."""
+    column a list of one kind (all None, all str or all numbers) or one value
+    (None, a str or a number) for every row, as the renderers take."""
     rng = np.random.default_rng(1121)
     strings = ["hypoexp", 'quote " and \\ backslash', "line\nbreak", "caf\u00e9 \u2028", "%s %%"]
     numbers = [
@@ -618,18 +659,23 @@ def render_corpus():
         (["x", "y", "s", "n"],
          [[1.5, 1.5, 1.5, math.nan, math.inf], [1.5, 1.5, 1.5, math.nan, -math.inf], ["s"] * 5, [None] * 5]),
         (["only"], [[-0.0, 0.0, math.nan, math.nan]]),
+        # one-value columns at both ends and between lists: "%" must be escaped
+        # in the row template, and 1e-5, 1e17 and 0.5 are texts _fmt17_list rewrites
+        (["%s", "x", 'q"k', "nl", "none", "s", "e-5", "e17", "half", "nan", "-0", "true"],
+         ["%s %%", floats[:7], 'q"k', "line\nbreak", None, strs[:7], 1e-5, 1e17, 0.5,
+          math.nan, -0.0, True]),
         (["x", "y"], [[], []]),
         ([], []),
     ]
 
 
 class TestRenderers:
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(6))
     def test_csv_matches_per_cell_reference(self, case):
         header, columns = render_corpus()[case]
         assert rendered(cli._render_csv, header, columns) == csv_reference(header, columns)
 
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(6))
     def test_json_matches_json_dumps(self, case):
         header, columns = render_corpus()[case]
         assert rendered(cli._render_json, header, columns) == json_reference(header, columns)
@@ -644,14 +690,18 @@ class TestRenderers:
     @pytest.mark.parametrize("block", [1, 7, 1024])
     def test_figure_columns_hold_one_kind(self, monkeypatch, block):
         # _csv_column tells a column's kind by its first cell: a None column
-        # that also held numbers would print blank cells
+        # that also held numbers would print blank cells; the renderers take the
+        # row count from the list columns, so a block needs one and they must agree
         monkeypatch.setattr(cli, "FIGURE_BLOCK", block)
+        values = {type(None), str, float}
         for columns_of in (cli._fig1_columns, cli._fig2_columns):
             for n in (2, 7, 2000):
                 for columns in columns_of(n)[1]:
+                    lists = [column for column in columns if isinstance(column, list)]
+                    assert lists and len(set(map(len, lists))) == 1, (n, columns)
                     for column in columns:
-                        kinds = set(map(type, column))
-                        assert len(kinds) == 1 and kinds <= {type(None), str, float}, (n, kinds)
+                        kinds = set(map(type, column)) if isinstance(column, list) else {type(column)}
+                        assert len(kinds) == 1 and kinds <= values, (n, kinds)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
