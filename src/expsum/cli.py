@@ -139,10 +139,9 @@ def _slices(grid):
     return (grid[start : start + FIGURE_BLOCK] for start in range(0, grid.size, FIGURE_BLOCK))
 
 
-def _fig1_columns(grid_points: int):
-    """The header (curve, lambda_w, lambda_x, entropy_nats) and a generator of
-    the long-format rows as blocks of columns, each computed when it is reached;
-    a block's curve and lambda_w columns are one value each (``_render_csv``).
+def _fig1_blocks(grid_points: int):
+    """fig1's long-format rows as blocks of columns (``_render_csv``), each
+    computed when it is reached.
 
     Ten fixed-noise curves with lambda_w stepping 0.2 .. 2.0 in increments
     of 0.2 and lambda_x sweeping up to just below lambda_w, plus the
@@ -153,26 +152,22 @@ def _fig1_columns(grid_points: int):
     """
     import numpy as np
 
-    def blocks():
-        for lam_w in (round(0.2 * k, 1) for k in range(1, 11)):
-            # lambda_w > lambda_x on each fixed-noise curve, as the array form needs
-            for x in _slices(np.geomspace(0.01, lam_w * (1.0 - 1e-3), grid_points)):
-                h = entropy_mod.hypoexp_entropy_array(np.full(x.size, lam_w), x)
-                yield ["hypoexp", lam_w, x.tolist(), h.tolist()]
-        shared = np.geomspace(0.01, 2.0, grid_points)
-        for x in _slices(shared):  # equal rates give the Erlang-2 entropy
-            xs = x.tolist()
-            yield ["erlang2", xs, xs, entropy_mod.hypoexp_entropy_array(x, x).tolist()]
-        for x in _slices(shared):
-            xs = x.tolist()
-            yield ["single", None, xs, list(map(entropy_mod.exp_entropy, xs))]
-
-    return ["curve", "lambda_w", "lambda_x", "entropy_nats"], blocks()
+    for lam_w in (round(0.2 * k, 1) for k in range(1, 11)):
+        # lambda_w > lambda_x on each fixed-noise curve, as the array form needs
+        for x in _slices(np.geomspace(0.01, lam_w * (1.0 - 1e-3), grid_points)):
+            h = entropy_mod.hypoexp_entropy_array(np.full(x.size, lam_w), x)
+            yield ["hypoexp", lam_w, x.tolist(), h.tolist()]
+    shared = np.geomspace(0.01, 2.0, grid_points)
+    for x in _slices(shared):  # equal rates give the Erlang-2 entropy
+        xs = x.tolist()
+        yield ["erlang2", xs, xs, entropy_mod.hypoexp_entropy_array(x, x).tolist()]
+    for x in _slices(shared):
+        xs = x.tolist()
+        yield ["single", None, xs, list(map(entropy_mod.exp_entropy, xs))]
 
 
-def _fig2_columns(grid_points: int):
-    """The header (lambda, lambda_x, lambda_w, entropy_nats, reference lines)
-    and a generator of the rows as blocks of columns, as ``_fig1_columns``.
+def _fig2_blocks(grid_points: int):
+    """fig2's rows as blocks of columns, as ``_fig1_blocks``.
 
     lambda runs log-spaced over [1.01, 100]; 2.0, the equal-rate point
     where the curve touches the Erlang-2 line, is added so the contact
@@ -182,48 +177,34 @@ def _fig2_columns(grid_points: int):
     """
     import numpy as np
 
-    header = [
-        "lambda",
-        "lambda_x",
-        "lambda_w",
-        "entropy_nats",
-        "reference_exp",
-        "reference_erlang2",
-    ]
     lam = np.geomspace(1.01, 100.0, grid_points)
     at = int(np.searchsorted(lam, 2.0))
     if lam[at] != 2.0:  # lam ends at 100, so 2.0 is never past the end
         lam = np.insert(lam, at, 2.0)
     references = entropy_mod.exp_entropy(1.0), entropy_mod.erlang2_entropy(2.0)
-
-    def blocks():
-        for x in _slices(lam):
-            other = x / (x - 1.0)
-            hi, lo = np.maximum(x, other), np.minimum(x, other)
-            h = entropy_mod.hypoexp_entropy_array(hi, lo)
-            yield [x.tolist(), lo.tolist(), hi.tolist(), h.tolist(), *references]
-
-    return header, blocks()
-
-
-def _csv_column(column) -> list:
-    """Each cell's CSV text, for a list of one kind or a one-value column's ``[value]``,
-    told by the first cell: "" for None, a str itself, a number its ``_fmt17_list`` text."""
-    if column[0] is None:
-        return [""] * len(column)
-    return column if isinstance(column[0], str) else _fmt17_list(column)
+    for x in _slices(lam):
+        other = x / (x - 1.0)
+        hi, lo = np.maximum(x, other), np.minimum(x, other)
+        h = entropy_mod.hypoexp_entropy_array(hi, lo)
+        yield [x.tolist(), lo.tolist(), hi.tolist(), h.tolist(), *references]
 
 
 def _render_csv(header, blocks):
     """Yield the CSV text of the rows in pieces: the header line, then one piece
-    per block, one line per row. A block holds at least one list column, all of one
-    length and each of one kind (all None, all str or all numbers); a one-value column
-    (None, a str or a number) fills every row and is baked into the block's row template."""
+    per block, one line per row.
+
+    The column contract of every figure block: a column is either a list of
+    numbers, formatted in one ``_fmt17_list`` call, or one value that fills every
+    row of the block and is baked into its row template: "" for None, a str as
+    itself, a number as its ``_fmt17`` text. A block holds at least one list
+    column, and its list columns have equal length.
+    """
     yield ",".join(header) + "\n"
     for columns in blocks:
-        texts = [_csv_column(col) for col in columns if isinstance(col, list)]
-        row = ",".join("%s" if isinstance(col, list)
-                       else _csv_column([col])[0].replace("%", "%%") for col in columns)
+        texts = [_fmt17_list(col) for col in columns if isinstance(col, list)]
+        row = ",".join("%s" if isinstance(col, list) else "" if col is None
+                       else (col if isinstance(col, str) else _fmt17(col)).replace("%", "%%")
+                       for col in columns)
         yield "\n".join(map(row.__mod__, zip(*texts))) + "\n"
 
 
@@ -253,11 +234,18 @@ def _render_json(header, blocks):
     yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
+#: Each figure's header and its block builder.
+FIGURES = {
+    "fig1": (["curve", "lambda_w", "lambda_x", "entropy_nats"], _fig1_blocks),
+    "fig2": (["lambda", "lambda_x", "lambda_w", "entropy_nats", "reference_exp",
+              "reference_erlang2"], _fig2_blocks),
+}
+RENDERERS = {"csv": _render_csv, "json": _render_json}
+
+
 def cmd_figure(args) -> int:
-    columns_of = _fig1_columns if args.figure_id == "fig1" else _fig2_columns
-    header, blocks = columns_of(args.grid_points)
-    render = _render_csv if args.format == "csv" else _render_json
-    pieces = render(header, blocks)
+    header, blocks_of = FIGURES[args.figure_id]
+    pieces = RENDERERS[args.format](header, blocks_of(args.grid_points))
     if args.out is None:
         sys.stdout.writelines(pieces)
     else:
@@ -349,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cond_entropy)
 
     p = sub.add_parser("figure", help="emit the data behind the two figures")
-    p.add_argument("figure_id", choices=("fig1", "fig2"))
+    p.add_argument("figure_id", choices=FIGURES)
     p.add_argument("--grid-points", type=_count_arg, default=200)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=RENDERERS, default="csv")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("verify", help="closed forms vs independent oracles")

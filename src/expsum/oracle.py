@@ -320,10 +320,12 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
 def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     """Numerically evaluate int_0^inf exp(-u x) ln(1 - exp(-v x)) dx.
 
-    In the scale s = c x, c = max(u, v), a = u/c, b = v/c, it is (1/c) int_0^T e^(-a s)
-    ln(1 - e^(-b s)) ds, whose tail beyond T is below e^(-(a+b) T) / ((a+b) (1 - e^(-b T)))
-    as -ln(1 - z) <= z/(1 - z); the error is about abs_tol/max(u, v). Raises ConvergenceError
-    where b < DBL_MIN (u/v > 4.5e307). It should match -(gamma + psi(u/v + 1))/u.
+    In the scale s = c x, c = max(u, v), a = u/c, b = v/c, it is J/c with J = int_0^T
+    e^(-a s) ln(1 - e^(-b s)) ds, whose tail beyond T is below e^(-(a+b) T) / ((a+b)
+    (1 - e^(-b T))) as -ln(1 - z) <= z/(1 - z). abs_tol bounds the error of J; since
+    |J| >= 1, the returned value's relative error is at most about abs_tol (its absolute
+    error about abs_tol/max(u, v)). Raises ConvergenceError where b < DBL_MIN
+    (u/v > 4.5e307). It should match -(gamma + psi(u/v + 1))/u.
     """
     import numpy as np
 

@@ -431,7 +431,7 @@ class TestFigureCommand:
         argv = ["figure", "fig1", "--grid-points", "2000", "--format", fmt,
                 "--out", str(tmp_path / "fig1.out")]
         assert main(argv) == 0  # imports outside the trace
-        columns = self.traced_peak(cli._fig1_columns, 2000)
+        columns = self.traced_peak(cli._fig1_blocks, 2000)
         # a block row's text, its cells' str objects and the lists holding
         # them take under 1 KiB; the 24,000 rows' whole text would take
         # 7.7 MB (csv) and 13.6 MB (json) more than the columns
@@ -589,7 +589,7 @@ class TestFormat17:
 
     def test_bulk_column_matches_fmt17(self):
         values = format_sweep()
-        assert cli._csv_column(values) == list(map(_fmt17, values))
+        assert cli._fmt17_list(values) == list(map(_fmt17, values))
 
     def test_bulk_column_matches_fmt17_on_mixed_numbers(self):
         # a dyadic k/2^j with fewer than 17 digits prints exactly, so its
@@ -599,7 +599,7 @@ class TestFormat17:
         assert any("e" in t for t in zeros) and any(t.startswith("-0.") for t in zeros)
         values = [1, True, -0.0, 0.0, 0.0, -0.0, math.nan, math.inf, -math.inf,
                   math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 1e16, 1e17, *dyadics]
-        assert cli._csv_column(values) == list(map(_fmt17, values))
+        assert cli._fmt17_list(values) == list(map(_fmt17, values))
 
 
 def row_count(columns):
@@ -640,8 +640,8 @@ def rendered(render, header, columns):
 
 def render_corpus():
     """(header, columns) cases over every kind of value a cell can hold, each
-    column a list of one kind (all None, all str or all numbers) or one value
-    (None, a str or a number) for every row, as the renderers take."""
+    column a list of numbers or one value (None, a str or a number) for every
+    row, as the renderers take."""
     rng = np.random.default_rng(1121)
     strings = ["hypoexp", 'quote " and \\ backslash', "line\nbreak", "caf\u00e9 \u2028", "%s %%"]
     numbers = [
@@ -650,19 +650,18 @@ def render_corpus():
         math.nan, math.inf, -math.inf, 1, True, False,
     ]
     floats = (10.0 ** rng.uniform(-8, 20, 300) * rng.choice([-1.0, 1.0], 300)).tolist()
-    strs, nums = ([pool[i] for i in rng.integers(0, len(pool), 300).tolist()]
-                  for pool in (strings, numbers))
+    nums = [numbers[i] for i in rng.integers(0, len(numbers), 300).tolist()]
     repeated = [floats[i] for i in rng.integers(0, 7, 300).tolist()]
-    header = ["a", "b c", 'q"k', "%d", "caf\u00e9", "f"]
+    header = ["a", "b c", 'q"k', "%d", "caf\u00e9", "f", "s1", "s2", "s3", "s4"]
     return [
-        (header, [strs, [None] * 300, nums, floats, repeated, floats[::-1]]),
+        (header, [strings[0], None, nums, *strings[1:3], floats, repeated, *strings[3:], floats[::-1]]),
         (["x", "y", "s", "n"],
-         [[1.5, 1.5, 1.5, math.nan, math.inf], [1.5, 1.5, 1.5, math.nan, -math.inf], ["s"] * 5, [None] * 5]),
+         [[1.5, 1.5, 1.5, math.nan, math.inf], [1.5, 1.5, 1.5, math.nan, -math.inf], "s", None]),
         (["only"], [[-0.0, 0.0, math.nan, math.nan]]),
         # one-value columns at both ends and between lists: "%" must be escaped
         # in the row template, and 1e-5, 1e17 and 0.5 are texts _fmt17_list rewrites
         (["%s", "x", 'q"k', "nl", "none", "s", "e-5", "e17", "half", "nan", "-0", "true"],
-         ["%s %%", floats[:7], 'q"k', "line\nbreak", None, strs[:7], 1e-5, 1e17, 0.5,
+         ["%s %%", floats[:7], 'q"k', "line\nbreak", None, nums[:7], 1e-5, 1e17, 0.5,
           math.nan, -0.0, True]),
         (["x", "y"], [[], []]),
         ([], []),
@@ -689,19 +688,19 @@ class TestRenderers:
 
     @pytest.mark.parametrize("block", [1, 7, 1024])
     def test_figure_columns_hold_one_kind(self, monkeypatch, block):
-        # _csv_column tells a column's kind by its first cell: a None column
-        # that also held numbers would print blank cells; the renderers take the
-        # row count from the list columns, so a block needs one and they must agree
+        # _render_csv formats a list column as numbers and a one-value column by
+        # its kind; the renderers take the row count from the list columns, so
+        # a block needs one and they must agree
         monkeypatch.setattr(cli, "FIGURE_BLOCK", block)
-        values = {type(None), str, float}
-        for columns_of in (cli._fig1_columns, cli._fig2_columns):
+        for _, blocks_of in cli.FIGURES.values():
             for n in (2, 7, 2000):
-                for columns in columns_of(n)[1]:
+                for columns in blocks_of(n):
                     lists = [column for column in columns if isinstance(column, list)]
                     assert lists and len(set(map(len, lists))) == 1, (n, columns)
                     for column in columns:
                         kinds = set(map(type, column)) if isinstance(column, list) else {type(column)}
-                        assert len(kinds) == 1 and kinds <= values, (n, kinds)
+                        allowed = {float} if isinstance(column, list) else {type(None), str, float}
+                        assert len(kinds) == 1 and kinds <= allowed, (n, kinds)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -47,7 +47,7 @@ import pytest
 
 from conftest import mp_entropy, mp_log_integral
 from expsum import oracle
-from expsum.cli import _fig1_columns, _fig2_columns, main
+from expsum.cli import FIGURES, main
 from expsum.dist import RatePair
 from expsum.specfun import _ASYMPTOTIC, EULER_GAMMA
 
@@ -210,15 +210,15 @@ def test_previous_closed_form_reproduces_the_previous_lines(command):
     assert previous_closed_form(float(argv[2]), float(argv[4])) == PREVIOUS[command][0]
 
 
-@pytest.mark.parametrize("columns_of", [_fig1_columns, _fig2_columns])
-def test_rerecorded_figures_are_as_close_to_mpmath(mp, columns_of):
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_rerecorded_figures_are_as_close_to_mpmath(mp, figure):
     """Each changed figure entropy is at least as close to mpmath as the
     value it replaced, or within one ulp of the exact value; the largest
     error over the figure does not grow."""
-    header, blocks = columns_of(2000)
+    header, blocks_of = FIGURES[figure]
     entropy = header.index("entropy_nats")  # a list column: one-value columns repeat to its length
     full = ([column if isinstance(column, list) else [column] * len(columns[entropy])
-             for column in columns] for columns in blocks)
+             for column in columns] for columns in blocks_of(2000))
     col = dict(zip(header, ([v for block in column for v in block] for column in zip(*full))))
     worst_old = worst_new = 0.0
     for a, b, value in zip(col["lambda_w"], col["lambda_x"], col["entropy_nats"]):

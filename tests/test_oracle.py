@@ -504,3 +504,25 @@ except ConvergenceError:
                 if not abs(value - exact) <= tol / max(u, v) + 1e-13 * abs(exact):
                     misses.append((u, v, value, float(exact)))
         assert misses == []
+
+    #: log10 of hi/lo for moderate and separated pairs, of hi/lo - 1 for near-equal ones.
+    PAIR_CLASSES = {"moderate": (math.log10(1.01), 2.0), "near_equal": (-12.0, -3.0),
+                    "separated": (2.0, 6.0)}
+
+    def test_relative_error_is_at_most_abs_tol(self, mp):
+        """abs_tol bounds the error of J, the integral in the scale s = max(u, v) x,
+        and |J| >= 1, so the value's relative error is at most about abs_tol. Rates
+        1e-6 to 1e6, each pair as (lo, hi) and as (hi, lo)."""
+        tol = 1e-10
+        rng = np.random.default_rng(20161121)
+        worst = (0.0,)
+        for cls, (low, high) in self.PAIR_CLASSES.items():
+            x = rng.uniform(low, high, 100)
+            ratio = 1.0 + 10.0**x if cls == "near_equal" else 10.0**x
+            lo = 10.0 ** rng.uniform(-6.0, 6.0 - np.log10(ratio))
+            for a, b in zip(lo.tolist(), (lo * ratio).tolist()):
+                for u, v in ((a, b), (b, a)):
+                    exact = mp_log_integral(mp, u, v)
+                    err = float(abs(gr_log_integral(u, v, abs_tol=tol) - exact) / abs(exact))
+                    worst = max(worst, (err, cls, u, v))
+        assert worst[0] <= tol, worst
