@@ -107,8 +107,9 @@ _RULE = tuple(zip(_WGK[:-1] + _WGK[::-1], [0.0] + [w for g in _WG + _WG[-2::-1] 
 def _adaptive(f, tail, abs_tol: float) -> float:
     """int_0^T f, T the least doubling of 20 with tail(T) < abs_tol/10, by globally
     adaptive bisection with the Gauss-Kronrod 15(7) rule, always splitting the worst
-    panel. f is called once on the four starting panels and once on the two halves of
-    each split."""
+    panel. One evaluator, ``panels(spans)``, turns a list of (a, b) panels into their
+    heap records (-error estimate, a, b, Kronrod value) with one call of f: it is called
+    once on the four starting panels and once on the two halves of each split."""
     import numpy as np
 
     t_max = 20.0
@@ -119,29 +120,25 @@ def _adaptive(f, tail, abs_tol: float) -> float:
 
     nodes, rule = np.array(_NODES), np.array(_RULE)
 
-    def panels(mids, halves):
-        """(Kronrod value, error estimate) on each panel, given its midpoint and half-width:
+    def panels(spans):
+        """The heap records of the panels (a, b) in spans, in order; each error estimate is
         |Kronrod - Gauss|, raised to QUADPACK's round-off floor 50 eps |Kronrod|."""
-        x = np.array(mids)[:, None] + np.multiply.outer(halves, nodes)
+        halves = [0.5 * (b - a) for a, b in spans]
+        x = np.array([0.5 * (a + b) for a, b in spans])[:, None] + np.multiply.outer(halves, nodes)
         fx = np.asarray(f(x.ravel()), dtype=float)
         # rows @ rule, like 1-D dots, is an OpenBLAS sum whose bits depend on the runtime kernel;
         # on OpenBLAS 0.3.31's SkylakeX kernel the two agree on 1,000+ quadrature values
         kg = (fx.reshape(-1, 15) @ rule).tolist()
         # a nan |K - G| comes first in max, so it stays nan
-        return [(v := h * k, max(abs(v - h * g), _ROUNDOFF * abs(v)))
-                for h, (k, g) in zip(halves, kg)]
+        return [(-max(abs((v := h * k) - h * g), _ROUNDOFF * abs(v)), a, b, v)
+                for (a, b), h, (k, g) in zip(spans, halves, kg)]
 
-    step = t_max / 4
-    edges = [i * step for i in range(4)] + [t_max]  # np.linspace(0, t_max, 5) as Python floats
-    spans = list(zip(edges, edges[1:]))
-    heap = []
-    total_err = 0.0
     # an inf at a node meets a zero Gauss weight: the nan is reported below, not warned
     with np.errstate(invalid="ignore"):
-        start = panels([0.5 * (pa + pb) for pa, pb in spans], [0.5 * (pb - pa) for pa, pb in spans])
-        for (pa, pb), (val, err) in zip(spans, start):
-            heap.append((-err, pa, pb, val))
-            total_err += err
+        heap = panels([(i * t_max / 4, (i + 1) * t_max / 4) for i in range(4)])  # exact edges
+        total_err = 0.0
+        for neg_err, *_ in heap:  # left to right and uncompensated, as the splits update it
+            total_err += -neg_err
         heapq.heapify(heap)
         splits = 0
         while not total_err <= abs_tol:  # a nan estimate is not convergence
@@ -150,17 +147,15 @@ def _adaptive(f, tail, abs_tol: float) -> float:
                 raise ConvergenceError(
                     f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
                     f"after {splits} subdivisions of [0.0, {t_max!r}] "
-                    f"({15 * (len(edges) - 1 + 2 * splits)} integrand points); "
+                    f"({15 * (len(heap) + splits)} integrand points); "
                     f"worst panel [{pa!r}, {pb!r}] with estimated error {-neg_err:.3e}"
                 )
             neg_err, pa, pb, _ = heapq.heappop(heap)  # on a tie, the lower a: panels are disjoint
             mid = 0.5 * (pa + pb)
-            (val1, err1), (val2, err2) = panels(
-                [0.5 * (pa + mid), 0.5 * (mid + pb)], [0.5 * (mid - pa), 0.5 * (pb - mid)]
-            )
-            total_err += err1 + err2 + neg_err
-            heapq.heappush(heap, (-err1, pa, mid, val1))
-            heapq.heappush(heap, (-err2, mid, pb, val2))
+            low, high = panels([(pa, mid), (mid, pb)])
+            total_err += -low[0] - high[0] + neg_err  # the halves' errors less the split one's
+            heapq.heappush(heap, low)
+            heapq.heappush(heap, high)
             splits += 1
     return math.fsum(panel[3] for panel in heap)
 

@@ -1,6 +1,7 @@
-"""Shared test plumbing: reports numpy's SIMD dispatch in the header, collects
-acceptance results and prints one pass/fail line per criterion at the end of
-the run, and holds the mpmath reference shared by the accuracy tests."""
+"""Shared test plumbing: reports numpy's SIMD dispatch and OpenBLAS core in the
+header, collects acceptance results and prints one pass/fail line per criterion
+at the end of the run, and holds the mpmath reference shared by the accuracy
+tests."""
 
 import math
 
@@ -13,15 +14,34 @@ def record_acceptance(num, desc, ok, detail=""):
     ACCEPTANCE_RESULTS.append((num, desc, bool(ok), detail))
 
 
+def openblas_core():
+    """The core OpenBLAS picked at run time, as numpy's bundled OpenBLAS names it, or
+    "unavailable" where that library or its probe is missing."""
+    import ctypes
+    import glob
+    import os
+
+    import numpy as np
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    except (IndexError, OSError, AttributeError):  # no such library, or no probe in it
+        return "unavailable"
+
+
 def pytest_report_header(config):
-    """numpy's version and the SIMD targets it dispatches to: its exp, log, expm1, log1p
-    and geomspace, and so the quadrature and figure bit goldens, depend on them."""
+    """numpy's version, the SIMD targets it dispatches to and the OpenBLAS core picked at
+    run time: numpy's exp, log, expm1, log1p and geomspace, and the quadrature's rows @ rule
+    product, and so the quadrature and figure bit goldens, depend on them."""
     import numpy as np
 
     found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     return (
-        f"numpy {np.__version__}, SIMD dispatch: {' '.join(found) or 'baseline only'}; "
-        "bit goldens recorded with X86_V4 (AVX-512)"
+        f"numpy {np.__version__}, SIMD dispatch: {' '.join(found) or 'baseline only'}, "
+        f"OpenBLAS core: {openblas_core()}; bit goldens recorded with X86_V4 (AVX-512)"
     )
 
 

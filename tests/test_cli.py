@@ -427,15 +427,14 @@ class TestFigureCommand:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_peak_memory_is_the_columns_plus_one_block(self, tmp_path, fmt):
+    def test_peak_memory_is_one_block(self, tmp_path, fmt):
         argv = ["figure", "fig1", "--grid-points", "2000", "--format", fmt,
                 "--out", str(tmp_path / "fig1.out")]
         assert main(argv) == 0  # imports outside the trace
-        columns = self.traced_peak(cli._fig1_blocks, 2000)
-        # a block row's text, its cells' str objects and the lists holding
-        # them take under 1 KiB; the 24,000 rows' whole text would take
-        # 7.7 MB (csv) and 13.6 MB (json) more than the columns
-        assert self.traced_peak(main, argv) - columns <= 1024 * cli.FIGURE_BLOCK
+        # the whole command: the grid-long arrays, plus one block's row text, its
+        # cells' str objects and the lists holding them, take under 1 KiB a row;
+        # the 24,000 rows' whole text would take 7.7 MB (csv) and 13.6 MB (json)
+        assert self.traced_peak(main, argv) <= 1024 * cli.FIGURE_BLOCK
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_memory_does_not_grow_with_the_grid(self, fmt):

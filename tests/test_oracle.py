@@ -126,17 +126,29 @@ class TestAdaptive:
         assert "of [0.0, 20.0]" in str(info.value)
         assert str(info.value).endswith("; worst panel [15.0, 20.0] with estimated error nan")
 
-    def test_budget_exhaustion_counts_the_points_the_integrand_saw(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "integrand, budget, splits",
+        [
+            (lambda x: np.exp(-x), 3, 3),
+            # nan only past the starting panels' last node, 19.979: first seen after 12 splits
+            (lambda x: np.where(x > 19.99, np.nan, 1.0), None, 12),
+        ],
+        ids=["budget", "nan"],
+    )
+    def test_convergence_error_counts_the_points_the_integrand_saw(
+        self, monkeypatch, integrand, budget, splits
+    ):
         seen = []
 
         def f(x):
             seen.append(x.size)
-            return np.exp(-x)
+            return integrand(x)
 
-        monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 3)
+        if budget is not None:
+            monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", budget)
         with pytest.raises(ConvergenceError) as info:
             oracle._adaptive(f, lambda t: 0.0, 1e-30)
-        assert "after 3 subdivisions of [0.0, 20.0]" in str(info.value)
+        assert f"after {splits} subdivisions of [0.0, 20.0]" in str(info.value)
         assert f"({sum(seen)} integrand points)" in str(info.value)
 
     @pytest.mark.parametrize("inf", [math.inf, -math.inf])
