@@ -171,9 +171,11 @@ def _fig2_blocks(grid_points: int):
 
     lambda runs log-spaced over [1.01, 100]; 2.0, the equal-rate point
     where the curve touches the Erlang-2 line, is added so the contact
-    appears exactly in the data. Each block forms its rate pairs
-    elementwise as ``mean_constrained_rates`` does: lambda/(lambda - 1),
-    then the larger and the smaller of the two. Each reference is one float.
+    appears exactly in the data. The rates are the pair {lambda,
+    lambda/(lambda - 1)} of ``mean_constrained_rates``: lambda is the
+    smaller one below 2.0 and the larger one from 2.0 up, so the blocks
+    split there and each passes its lambda list again as lambda_x or
+    lambda_w, which the renderers format once. Each reference is one float.
     """
     import numpy as np
 
@@ -182,11 +184,26 @@ def _fig2_blocks(grid_points: int):
     if lam[at] != 2.0:  # lam ends at 100, so 2.0 is never past the end
         lam = np.insert(lam, at, 2.0)
     references = entropy_mod.exp_entropy(1.0), entropy_mod.erlang2_entropy(2.0)
-    for x in _slices(lam):
-        other = x / (x - 1.0)
-        hi, lo = np.maximum(x, other), np.minimum(x, other)
-        h = entropy_mod.hypoexp_entropy_array(hi, lo)
-        yield [x.tolist(), lo.tolist(), hi.tolist(), h.tolist(), *references]
+    for side in (lam[:at], lam[at:]):
+        for x in _slices(side):
+            other = x / (x - 1.0)
+            xs, others = x.tolist(), other.tolist()
+            if x[0] < 2.0:  # x < 2 < other, also once rounded
+                h = entropy_mod.hypoexp_entropy_array(other, x).tolist()
+                yield [xs, xs, others, h, *references]
+            else:  # other <= 2 <= x
+                h = entropy_mod.hypoexp_entropy_array(x, other).tolist()
+                yield [xs, others, xs, h, *references]
+
+
+def _list_texts(columns, fmt) -> list:
+    """``fmt(column)`` for each list column of a block, in order; a list that the block
+    passes more than once is formatted once, and its text is reused."""
+    texts = {}
+    for col in columns:
+        if isinstance(col, list) and id(col) not in texts:
+            texts[id(col)] = fmt(col)
+    return [texts[id(col)] for col in columns if isinstance(col, list)]
 
 
 def _render_csv(header, blocks):
@@ -194,14 +211,15 @@ def _render_csv(header, blocks):
     per block, one line per row.
 
     The column contract of every figure block: a column is either a list of
-    numbers, formatted in one ``_fmt17_list`` call, or one value that fills every
-    row of the block and is baked into its row template: "" for None, a str as
-    itself, a number as its ``_fmt17`` text. A block holds at least one list
-    column, and its list columns have equal length.
+    numbers, formatted in one ``_fmt17_list`` call however often the block
+    passes it (``_list_texts``), or one value that fills every row of the block
+    and is baked into its row template: "" for None, a str as itself, a number
+    as its ``_fmt17`` text. A block holds at least one list column, and its
+    list columns have equal length.
     """
     yield ",".join(header) + "\n"
     for columns in blocks:
-        texts = [_fmt17_list(col) for col in columns if isinstance(col, list)]
+        texts = _list_texts(columns, _fmt17_list)
         row = ",".join("%s" if isinstance(col, list) else "" if col is None
                        else (col if isinstance(col, str) else _fmt17(col)).replace("%", "%%")
                        for col in columns)
@@ -220,11 +238,13 @@ def _render_json(header, blocks):
     """
     import json
 
+    def item_texts(col):
+        return json.dumps(col, separators=("\n", ": "))[1:-1].split("\n")
+
     keys = [json.dumps(key).replace("%", "%%") for key in header]
     opening = "[\n"
     for columns in blocks:
-        texts = [json.dumps(col, separators=("\n", ": "))[1:-1].split("\n")
-                 for col in columns if isinstance(col, list)]
+        texts = _list_texts(columns, item_texts)
         values = ("%s" if isinstance(col, list) else json.dumps(col).replace("%", "%%")
                   for col in columns)
         record = ",\n".join(f"    {key}: {value}" for key, value in zip(keys, values))

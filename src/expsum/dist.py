@@ -71,19 +71,19 @@ def _unit_kernel(rates: RatePair, x, scale, out=None):
     takes one rounding, and t/lambda_lo, which overflows where t does, is never formed.
     k = r (1 - e^(-d)) with r = lambda_hi/gap <= 2^53, or t at gap = 0,
     where d is not formed and t is capped at DBL_MAX, so that e^(-t) k is 0,
-    not 0 * inf, at t = +inf. t or d overflowing to +inf is exact here.
+    not 0 * inf, at t = +inf. t or d overflowing to +inf is exact here; the caller
+    suppresses numpy's overflow warning, the quadratures once per quadrature.
     k is written into ``out``, which must not share memory with ``x``, when given.
     """
     import numpy as np
 
     hi, lo = rates
-    with np.errstate(over="ignore"):
-        t = x if scale == 1.0 else scale * x
-        if hi == lo:
-            k = np.minimum(t, _DBL_MAX, out=out)
-        else:
-            k = np.expm1(np.multiply(x, -((hi - lo) / (lo / scale)), out=out), out=out)
-            k = np.multiply(k, -(hi / (hi - lo)), out=out)
+    t = x if scale == 1.0 else scale * x
+    if hi == lo:
+        k = np.minimum(t, _DBL_MAX, out=out)
+    else:
+        k = np.expm1(np.multiply(x, -((hi - lo) / (lo / scale)), out=out), out=out)
+        k = np.multiply(k, -(hi / (hi - lo)), out=out)
     return t, k
 
 
@@ -101,9 +101,9 @@ def hypoexp_pdf(rates: RatePair, y):
     hi, lo = rates
     arr = np.asarray(y, dtype=float)
     y_pos = np.maximum(arr, 0.0)
-    t, k = _unit_kernel(rates, y_pos, lo)
-    if hi > lo:  # where d is subnormal, 1 - e^(-d) = d: k = lambda_hi y, not r d rounded
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # t, d and gap y overflowing to +inf are exact
+        t, k = _unit_kernel(rates, y_pos, lo)
+        if hi > lo:  # where d is subnormal, 1 - e^(-d) = d: k = lambda_hi y, not r d rounded
             k = np.where(y_pos * (hi - lo) < 2.0**-1022, hi * y_pos, k)
     pdf = lo * (np.exp(-t) * k)
     if lo > 1.0:  # e^(ln lambda_lo - t) <= e^1.8 at t >= 708: no overflow where it is dropped
@@ -121,7 +121,8 @@ def hypoexp_cdf(rates: RatePair, y):
 
     hi, lo = rates
     arr = np.asarray(y, dtype=float)
-    t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo)
+    with np.errstate(over="ignore"):  # t and d overflowing to +inf are exact
+        t, k = _unit_kernel(rates, np.maximum(arr, 0.0), lo)
     val = np.clip(-np.expm1(-t) - lo / hi * (np.exp(-t) * k), 0.0, 1.0)
     return _ret(np.where(arr < 0.0, 0.0, val), arr)
 

@@ -28,8 +28,8 @@ lambda_hi/gap), so the tail of g |t - ln k| beyond T is below
 package, never the digamma closed form, so agreement checks the latter.
 
 numpy is imported inside the functions that build arrays, and
-``_adaptive`` builds its Gauss-Kronrod node and weight arrays on each
-call, so importing this module does not load numpy.
+``_adaptive`` builds its Gauss-Kronrod weight array on each call, so
+importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -108,8 +108,10 @@ def _adaptive(f, tail, abs_tol: float) -> float:
     """int_0^T f, T the least doubling of 20 with tail(T) < abs_tol/10, by globally
     adaptive bisection with the Gauss-Kronrod 15(7) rule, always splitting the worst
     panel. One evaluator, ``panels(spans)``, turns a list of (a, b) panels into their
-    heap records (-error estimate, a, b, Kronrod value) with one call of f: it is called
-    once on the four starting panels and once on the two halves of each split."""
+    heap records (-error estimate, a, b, Kronrod value) with one call of f, on the
+    (panels, 15) float array of their nodes, which f must not write into and whose shape
+    its float result keeps: it is called once on the four starting panels and once on the
+    two halves of each split."""
     import numpy as np
 
     t_max = 20.0
@@ -118,20 +120,23 @@ def _adaptive(f, tail, abs_tol: float) -> float:
             raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
         t_max *= 2.0
 
-    nodes, rule = np.array(_NODES), np.array(_RULE)
+    rule = np.array(_RULE)
 
     def panels(spans):
         """The heap records of the panels (a, b) in spans, in order; each error estimate is
         |Kronrod - Gauss|, raised to QUADPACK's round-off floor 50 eps |Kronrod|."""
-        halves = [0.5 * (b - a) for a, b in spans]
-        x = np.array([0.5 * (a + b) for a, b in spans])[:, None] + np.multiply.outer(halves, nodes)
-        fx = np.asarray(f(x.ravel()), dtype=float)
-        # rows @ rule, like 1-D dots, is an OpenBLAS sum whose bits depend on the runtime kernel;
-        # on OpenBLAS 0.3.31's SkylakeX kernel the two agree on 1,000+ quadrature values
-        kg = (fx.reshape(-1, 15) @ rule).tolist()
+        mid_half = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in spans]
+        # a row of nodes mid + h node per panel, in Python floats: the two roundings of
+        # numpy's multiply and add, without the cost of broadcasting two columns
+        x = np.array([m + h * node for m, h in mid_half for node in _NODES]).reshape(-1, 15)
+        # rows @ rule is an OpenBLAS sum whose bits depend on the runtime kernel and on the
+        # row count: under OpenBLAS 0.3.31's SkylakeX and Haswell kernels, 76-82% of seeded
+        # random rows rounded differently alone than among others, while products of 2 to
+        # 399 rows agreed (Sandybridge: all agreed). Each product here has 2 or 4 rows
+        kg = (f(x) @ rule).tolist()
         # a nan |K - G| comes first in max, so it stays nan
         return [(-max(abs((v := h * k) - h * g), _ROUNDOFF * abs(v)), a, b, v)
-                for (a, b), h, (k, g) in zip(spans, halves, kg)]
+                for (a, b), (_, h), (k, g) in zip(spans, mid_half, kg)]
 
     # an inf at a node meets a zero Gauss weight: the nan is reported below, not warned
     with np.errstate(invalid="ignore"):
@@ -160,35 +165,52 @@ def _adaptive(f, tail, abs_tol: float) -> float:
     return math.fsum(panel[3] for panel in heap)
 
 
-def _unit_quadrature(rates: RatePair, abs_tol: float, integrand) -> float:
-    """int_0^T integrand(t, g, k) dt over the unit scale, with T from the tail bound,
-    (t, k) from ``dist._unit_kernel`` at scale 1.0, which forms d, and g = e^(-t) k."""
+def _normalization_integrand(rates: RatePair):
+    """The function g = e^(-t) k of the unit-scale nodes x = t, k from ``dist._unit_kernel``
+    at scale 1.0, which forms d. Like every integrand here it never writes into x, and
+    leaves the kernel's overflow warning to its caller."""
+    import numpy as np
+
+    def integrand(x):
+        return np.exp(-x) * dist._unit_kernel(rates, x, 1.0)[1]
+
+    return integrand
+
+
+def _entropy_integrand(rates: RatePair):
+    """The function g (t - ln k) of the unit-scale nodes x = t, g and k as in
+    ``_normalization_integrand``, with 0 ln 0 = 0 where k vanishes."""
+    import numpy as np
+
+    zero = np.array(0.0)  # a 0-d operand: numpy takes a slower path for a Python float
+
+    def integrand(x):
+        k = dist._unit_kernel(rates, x, 1.0)[1]  # a new array, 0 or more
+        g = np.exp(-x) * k
+        return g * (x - np.log(k, k, where=k > zero))  # a 0 in k stays 0
+
+    return integrand
+
+
+def _unit_quadrature(rates: RatePair, abs_tol: float, integrand_of) -> float:
+    """int_0^T of ``integrand_of(rates)`` over the unit scale, with T from the tail bound."""
     import numpy as np
 
     abs_tol = _require_positive(abs_tol, "abs_tol")
-
-    def unit_integrand(x):
-        t, k = dist._unit_kernel(rates, x, 1.0)
-        return integrand(t, np.exp(-t) * k, k)
-
     tail = lambda t: 2.0 * math.exp(-t) * (t * t + 2.0 * t + 2.0)  # noqa: E731
-    return _adaptive(unit_integrand, tail, abs_tol)
+    with np.errstate(over="ignore"):  # d = gap t overflowing to +inf is exact in the kernel
+        return _adaptive(integrand_of(rates), tail, abs_tol)
 
 
 def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
     """Differential entropy -int f ln f of the sum at ``rates``, by adaptive quadrature
     of -ln lambda_lo + int_0^T g (t - ln k) dt, with 0 ln 0 = 0 where k vanishes."""
-    import numpy as np
-
-    def integrand(t, g, k):
-        return g * (t - np.log(k, out=np.zeros_like(k), where=k > 0.0))
-
-    return _unit_quadrature(rates, abs_tol, integrand) - math.log(rates.lambda_lo)
+    return _unit_quadrature(rates, abs_tol, _entropy_integrand) - math.log(rates.lambda_lo)
 
 
 def normalization_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
     """int f = int_0^T g dt at ``rates``, as in ``entropy_quadrature``; should be 1."""
-    return _unit_quadrature(rates, abs_tol, lambda t, g, k: g)
+    return _unit_quadrature(rates, abs_tol, _normalization_integrand)
 
 
 def _usable_cores() -> int:
@@ -219,8 +241,10 @@ def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_bu
             k = k_buf[: t.size]
             exponential_draws(rng_hi, t.size, hi / lo, t)
             t += exponential_draws(rng_lo, t.size, 1.0, k)
-            t, k = dist._unit_kernel(rates, t, 1.0, k)
-            with np.errstate(divide="ignore"):  # k = 0 gives t - ln k = inf, raised below
+            # d = gap t overflowing to +inf is exact in the kernel; k = 0 gives
+            # t - ln k = inf, raised below
+            with np.errstate(over="ignore", divide="ignore"):
+                t, k = dist._unit_kernel(rates, t, 1.0, k)
                 t -= np.log(k, out=k)
         chunk_sum = float(np.add.reduce(vals))
         if not math.isfinite(chunk_sum):
@@ -312,6 +336,18 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     return EstimateWithError(estimate=mean, std_error=std / math.sqrt(n), n_samples=n)
 
 
+def _log_integrand(a: float, b: float):
+    """The function e^(-a s) ln(1 - e^(-b s)) of the nodes s, as in ``gr_log_integral``."""
+    import numpy as np
+
+    neg_a, neg_b = np.array(-a), np.array(-b)  # 0-d, as in ``_entropy_integrand``
+
+    def integrand(s):
+        return np.exp(s * neg_a) * np.log(-np.expm1(s * neg_b))
+
+    return integrand
+
+
 def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     """Numerically evaluate int_0^inf exp(-u x) ln(1 - exp(-v x)) dx.
 
@@ -322,8 +358,6 @@ def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     error about abs_tol/max(u, v)). Raises ConvergenceError where b < DBL_MIN
     (u/v > 4.5e307). It should match -(gamma + psi(u/v + 1))/u.
     """
-    import numpy as np
-
     u = _require_positive(u, "u")
     v = _require_positive(v, "v")
     tol = _require_positive(abs_tol, "abs_tol")
@@ -332,8 +366,5 @@ def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     if b < 2.0**-1022:  # DBL_MIN
         raise ConvergenceError(f"v/u below DBL_MIN at u = {u!r}, v = {v!r}")
 
-    def integrand(s):
-        return np.exp(-a * s) * np.log(-np.expm1(-b * s))
-
     tail = lambda t: math.exp(-(a + b) * t) / ((a + b) * -math.expm1(-b * t))  # noqa: E731
-    return _adaptive(integrand, tail, tol) / c
+    return _adaptive(_log_integrand(a, b), tail, tol) / c

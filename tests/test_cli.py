@@ -391,11 +391,15 @@ class TestFigureCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FIGURES[f"fig1 {fmt} 2000"]
 
-    @pytest.mark.parametrize("figure, numbers", [("fig1", 50_020), ("fig2", 8_008)])
+    @pytest.mark.parametrize("figure, numbers", [("fig1", 48_020), ("fig2", 6_009)])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_each_repeated_value_is_formatted_once(self, monkeypatch, figure, numbers, fmt):
         # fig1's lambda_w and fig2's two references are one value per block of
-        # 1024 rows; formatted per row they would make 70,000 and 12,006 numbers
+        # 1024 rows; formatted per row they would make 70,000 and 12,006 numbers.
+        # A list passed twice is formatted once: erlang2's rates (2,000 numbers)
+        # and fig2's lambda, the smaller rate below 2.0 and the larger from it up
+        # (2,001 numbers); fig2's blocks split at 2.0, so its three blocks format
+        # the two references 6 times, not 4
         handed = []
         fmt17_list, dumps = cli._fmt17_list, json.dumps
 
@@ -684,6 +688,16 @@ class TestRenderers:
         for header, columns in render_corpus():
             assert rendered(cli._render_csv, header, columns) == csv_reference(header, columns)
             assert rendered(cli._render_json, header, columns) == json_reference(header, columns)
+
+    @pytest.mark.parametrize("render, reference", [(cli._render_csv, csv_reference),
+                                                   (cli._render_json, json_reference)])
+    def test_a_list_passed_twice_fills_both_columns(self, render, reference):
+        # the renderers format such a list once and reuse its text
+        _, columns = render_corpus()[0]
+        shared = columns[5]  # 300 random floats
+        twice = [shared, "s", shared, None, shared[::-1]]
+        text = "".join(render(["a", "b", "c", "d", "e"], [twice]))
+        assert text == reference(["a", "b", "c", "d", "e"], twice)
 
     @pytest.mark.parametrize("block", [1, 7, 1024])
     def test_figure_columns_hold_one_kind(self, monkeypatch, block):

@@ -160,6 +160,66 @@ class TestAdaptive:
         assert str(info.value).endswith("; worst panel [15.0, 20.0] with estimated error nan")
 
 
+def allocating_integrands(rates, a, b, x):
+    """The three quadrature integrands at the nodes x as plain expressions, each step in
+    a new array: the reference the quadratures' integrands must match bit for bit."""
+    t, k = dist._unit_kernel(rates, x, 1.0)
+    g = np.exp(-t) * k
+    entropy = g * (t - np.log(k, out=np.zeros_like(k), where=k > 0.0))
+    return entropy, g, np.exp(-a * x) * np.log(-np.expm1(-b * x))
+
+
+class TestLeanIntegrands:
+    #: Unit-scale nodes: 0, where k = 0 and 0 ln 0 = 0; subnormal and tiny t, where
+    #: d = gap t underflows and k with it; ordinary nodes out to the largest T; nan.
+    NODES = [0.0, 5e-324, 1e-320, 1e-310, 2.0**-1022, 1e-300, 1e-30, 1e-8, 1e-3, 0.1, 0.5,
+             1.0, 3.0, 10.0, 39.9, 100.0, 700.0, 745.2, 2000.0, 2560.0, math.nan]
+    #: Equal rates, ordinary and near-equal pairs, a subnormal gap, and ratios from 1e300
+    #: up: d = gap t overflows to +inf at the larger nodes from 1e306, and past DBL_MAX
+    #: gap/lambda_lo does.
+    PAIRS = [(2.0, 2.0), (3.0, 1.0), (1.0 + 2.0**-52, 1.0), (1.0 + 1e-9, 1.0),
+             (1e-310, 5e-311), (1e300, 1.0), (1e306, 1.0), (1e307, 1.0), (1.7e308, 1.0),
+             (1.7e308, 1e-5), (sys.float_info.max, 1.0), (1e300, 1e-300)]
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=repr)
+    def test_match_the_allocating_expressions_bit_for_bit(self, pair):
+        rates = RatePair(*pair)
+        ratio = rates.lambda_lo / rates.lambda_hi  # gr_log_integral's a and b: one of them 1
+        x = np.array(self.NODES * 3)[:60].reshape(4, 15)  # as the four start panels
+        before = x.tobytes()
+        for a, b in ((1.0, ratio), (ratio, 1.0)):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                expected = allocating_integrands(rates, a, b, x)
+                got = (oracle._entropy_integrand(rates)(x),
+                       oracle._normalization_integrand(rates)(x), oracle._log_integrand(a, b)(x))
+            assert x.tobytes() == before  # the nodes are never written into
+            for want, have in zip(expected, got):
+                assert have.shape == x.shape
+                assert list(map(float.hex, have.ravel().tolist())) == list(
+                    map(float.hex, want.ravel().tolist()))
+
+    def test_sweep_reaches_zero_k_and_overflowing_d(self):
+        with np.errstate(over="ignore"):
+            _, k = dist._unit_kernel(RatePair(1.0 + 2.0**-52, 1.0), np.array([0.0, 5e-324]), 1.0)
+            assert k.tolist() == [0.0, 0.0]  # k underflows to 0 at t > 0 too
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            dist._unit_kernel(RatePair(1.7e308, 1.0), np.array([39.9]), 1.0)
+
+    @pytest.mark.parametrize("pair", [(1e307, 1.0), (1.7e308, 1.0), (sys.float_info.max, 1.0)])
+    def test_quadratures_raise_no_warning_where_d_overflows(self, pair):
+        # warnings are errors in every tier-1 run: the quadrature suppresses the
+        # kernel's exact overflow once, and stays finite
+        rates = RatePair(*pair)
+        assert math.isfinite(entropy_quadrature(rates, abs_tol=1e-6))
+        assert math.isfinite(normalization_quadrature(rates, abs_tol=1e-6))
+
+    def test_monte_carlo_raises_no_warning_where_d_overflows(self):
+        # t > 1.06 makes d = t (1.7e308 - 1) overflow for about a third of the samples;
+        # the sum is within 1e-308 of an Exp(1) draw, whose entropy is 1
+        est = entropy_monte_carlo(RatePair(1.7e308, 1.0), 1000, seed=3)
+        assert abs(est.estimate - 1.0) <= 5.0 * est.std_error
+
+
 class TestNormalization:
     def test_unit_mass_across_grid(self):
         # includes the diagonal, exercising the degenerate Erlang branch
