@@ -4,6 +4,10 @@ Closed forms for the two-phase hypoexponential entropy and its derived
 quantities (additive exponential noise mutual information, gate-conditioned
 dwell-time entropy, Erlang-2 limit), together with independent quadrature
 and Monte-Carlo oracles and a CLI that reproduces the figure data sets.
+
+No module imports numpy at module level: each function that builds arrays
+imports it, so importing the package does not load numpy, and neither do the
+CLI's closed-form point commands. Quadrature, Monte Carlo, figures and verify do.
 """
 
 from .dist import (

@@ -2,9 +2,6 @@
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 quadrature convergence failure, 4 output I/O failure, 5 internal error.
-
-numpy is imported only by the commands that build arrays (quadrature,
-Monte Carlo, figures, verify); the closed-form point commands never load it.
 """
 
 from __future__ import annotations
@@ -140,7 +137,7 @@ def _slices(grid):
 
 
 def _fig1_blocks(grid_points: int):
-    """fig1's long-format rows as blocks of columns (``_render_csv``), each
+    """fig1's long-format rows as blocks of columns (``_block_rows``), each
     computed when it is reached.
 
     Ten fixed-noise curves with lambda_w stepping 0.2 .. 2.0 in increments
@@ -175,7 +172,7 @@ def _fig2_blocks(grid_points: int):
     lambda/(lambda - 1)} of ``mean_constrained_rates``: lambda is the
     smaller one below 2.0 and the larger one from 2.0 up, so the blocks
     split there and each passes its lambda list again as lambda_x or
-    lambda_w, which the renderers format once. Each reference is one float.
+    lambda_w. Each reference is one float.
     """
     import numpy as np
 
@@ -196,42 +193,40 @@ def _fig2_blocks(grid_points: int):
                 yield [xs, others, xs, h, *references]
 
 
-def _list_texts(columns, fmt) -> list:
-    """``fmt(column)`` for each list column of a block, in order; a list that the block
-    passes more than once is formatted once, and its text is reused."""
-    texts = {}
-    for col in columns:
-        if isinstance(col, list) and id(col) not in texts:
-            texts[id(col)] = fmt(col)
-    return [texts[id(col)] for col in columns if isinstance(col, list)]
+def _block_rows(columns, texts_of, text_of, row_of):
+    """The rows of one figure block, as an iterator of texts.
+
+    The column contract of every figure block: a column is either a list of
+    numbers or one value that fills every row of the block. A block holds at
+    least one list column, and its list columns have equal length. Each list is
+    formatted by one ``texts_of`` call however often the block passes it. Each
+    one-value column's ``text_of`` text, "%" doubled, is baked into the row
+    template ``row_of(cells)``, whose cells hold it or "%s" for a list column.
+    """
+    lists = [col for col in columns if isinstance(col, list)]
+    texts = {id(col): texts_of(col) for col in {id(col): col for col in lists}.values()}
+    cells = ["%s" if isinstance(col, list) else text_of(col).replace("%", "%%") for col in columns]
+    return map(row_of(cells).__mod__, zip(*(texts[id(col)] for col in lists)))
 
 
 def _render_csv(header, blocks):
     """Yield the CSV text of the rows in pieces: the header line, then one piece
-    per block, one line per row.
-
-    The column contract of every figure block: a column is either a list of
-    numbers, formatted in one ``_fmt17_list`` call however often the block
-    passes it (``_list_texts``), or one value that fills every row of the block
-    and is baked into its row template: "" for None, a str as itself, a number
-    as its ``_fmt17`` text. A block holds at least one list column, and its
-    list columns have equal length.
+    per block, one line per row: a list's numbers as ``_fmt17_list`` texts, a
+    one-value column as "" for None, a str as itself, a number as its ``_fmt17`` text.
     """
+    def text_of(col):
+        return "" if col is None else col if isinstance(col, str) else _fmt17(col)
+
     yield ",".join(header) + "\n"
     for columns in blocks:
-        texts = _list_texts(columns, _fmt17_list)
-        row = ",".join("%s" if isinstance(col, list) else "" if col is None
-                       else (col if isinstance(col, str) else _fmt17(col)).replace("%", "%%")
-                       for col in columns)
-        yield "\n".join(map(row.__mod__, zip(*texts))) + "\n"
+        yield "\n".join(_block_rows(columns, _fmt17_list, text_of, ",".join)) + "\n"
 
 
 def _render_json(header, blocks):
     """Yield, in pieces, the bytes of ``json.dumps(records, indent=2) + "\n"``
-    for the records ``dict(zip(header, row))`` of the rows of ``blocks``, whose
-    columns are as in ``_render_csv``: "[\n", then one piece per block with ",\n"
-    between blocks, then "\n]\n"; "[]\n" alone when there are no blocks. A block's
-    record template holds each one-value column's ``json.dumps`` text.
+    for the records ``dict(zip(header, row))`` of the rows of ``blocks``: "[\n",
+    then one piece per block with ",\n" between blocks, then "\n]\n"; "[]\n" alone
+    when there are no blocks. Every value is its ``json.dumps`` text.
 
     json's own encoder writes each list in one call, with a newline between items;
     json escapes newlines in strings, so splitting there gives each value's text.
@@ -241,15 +236,15 @@ def _render_json(header, blocks):
     def item_texts(col):
         return json.dumps(col, separators=("\n", ": "))[1:-1].split("\n")
 
-    keys = [json.dumps(key).replace("%", "%%") for key in header]
+    labels = [f"    {json.dumps(key)}: ".replace("%", "%%") for key in header]
+
+    def record(cells):
+        return "  {\n" + ",\n".join(label + cell for label, cell in zip(labels, cells)) + "\n  }"
+
     opening = "[\n"
     for columns in blocks:
-        texts = _list_texts(columns, item_texts)
-        values = ("%s" if isinstance(col, list) else json.dumps(col).replace("%", "%%")
-                  for col in columns)
-        record = ",\n".join(f"    {key}: {value}" for key, value in zip(keys, values))
         yield opening
-        yield ",\n".join(map(("  {\n" + record + "\n  }").__mod__, zip(*texts)))
+        yield ",\n".join(_block_rows(columns, item_texts, json.dumps, record))
         opening = ",\n"
     yield "[]\n" if opening == "[\n" else "\n]\n"
 

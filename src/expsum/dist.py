@@ -13,9 +13,6 @@ density at equal rates, with no cancellation and no switch between the
 two, however small the gap. In the unit scale t = lambda_lo y it reads
 f = lambda_lo e^(-t) k with k = lambda_hi E, the kernel that the pdf, the
 CDF, both quadratures and Monte Carlo share.
-
-numpy is imported inside the array functions, not at module level, so
-that importing the package for its scalar closed forms does not load it.
 """
 
 from __future__ import annotations
@@ -64,16 +61,16 @@ def HypoexpTwo(rates: RatePair) -> RatePair:
 
 
 def _unit_kernel(rates: RatePair, x, scale, out=None):
-    """(t, k) for t = scale x and k = lambda_hi E: the density is f(y) = lambda_lo e^(-t) k
-    in the unit scale t = lambda_lo y. ``scale`` is lambda_lo where x is y (pdf, CDF), and
-    1.0 where x is t (quadratures, Monte Carlo) and is returned as t. d = gap y is formed
-    as x (gap/(lambda_lo/scale)): that divisor is exactly 1.0 or lambda_lo, so the factor
-    takes one rounding, and t/lambda_lo, which overflows where t does, is never formed.
-    k = r (1 - e^(-d)) with r = lambda_hi/gap <= 2^53, or t at gap = 0,
-    where d is not formed and t is capped at DBL_MAX, so that e^(-t) k is 0,
-    not 0 * inf, at t = +inf. t or d overflowing to +inf is exact here; the caller
-    suppresses numpy's overflow warning, the quadratures once per quadrature.
-    k is written into ``out``, which must not share memory with ``x``, when given.
+    """(t, k) of the module docstring's unit scale, t = scale x and k = lambda_hi E.
+    ``scale`` is lambda_lo where x is y (pdf, CDF), and 1.0 where x is t (quadratures,
+    Monte Carlo) and is returned as t. d = gap y is formed as x (gap/(lambda_lo/scale)):
+    that divisor is exactly 1.0 or lambda_lo, so the factor takes one rounding, and
+    t/lambda_lo, which overflows where t does, is never formed. k = r (1 - e^(-d)) with
+    r = lambda_hi/gap <= 2^53, or t at gap = 0, where d is not formed and t is capped at
+    DBL_MAX, so that e^(-t) k is 0, not 0 * inf, at t = +inf. t or d overflowing to +inf
+    is exact here; the caller suppresses numpy's overflow warning, the quadratures once
+    per quadrature. k is written into ``out``, which must not share memory with ``x``,
+    when given.
     """
     import numpy as np
 

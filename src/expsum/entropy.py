@@ -21,7 +21,7 @@ Erlang-2 entropy 1 + gamma - ln(lambda) with no separate branch, and
 nearly equal ones approach it continuously.
 
 ``hypoexp_entropy_array`` evaluates its scalar namesake over numpy arrays,
-element by element and bit for bit; numpy is imported inside it only.
+element by element and bit for bit.
 """
 
 from __future__ import annotations

@@ -15,21 +15,16 @@ entropy expressions:
   integral tables; checking one against the other validates the identity
   the entropy derivation rests on.
 
-The entropy oracles work in the unit scale t = lambda_lo y: the entropy
-is a scale family, h(Y) = h(lambda_lo Y) - ln lambda_lo, and f(y) =
-lambda_lo g(t) with g = e^(-t) k, k from ``dist._unit_kernel``, so
-h = -ln lambda_lo + int g (t - ln k) dt, which the quadratures integrate
-and Monte Carlo averages over samples of t. The kernel forms d = gap y
-from t itself, so one domain [0, T] serves every rate pair: for t >= 1,
-1 <= k <= 2t (k grows with t, is (1 + x)(1 - e^(-x))/x >= 1 at t = 1 for
-x = gap/lambda_lo, and is at most t lambda_hi/lambda_lo and at most
-lambda_hi/gap), so the tail of g |t - ln k| beyond T is below
-2 e^(-T) (T^2 + 2T + 2). Only the density kernel is shared with the
-package, never the digamma closed form, so agreement checks the latter.
-
-numpy is imported inside the functions that build arrays, and
-``_adaptive`` builds its Gauss-Kronrod weight array on each call, so
-importing this module does not load numpy.
+The entropy oracles work in ``dist``'s unit scale t = lambda_lo y, where
+f(y) = lambda_lo g(t) with g = e^(-t) k. The entropy is a scale family,
+h(Y) = h(lambda_lo Y) - ln lambda_lo, so h = -ln lambda_lo + int g (t - ln k) dt,
+which the quadratures integrate and Monte Carlo averages over samples of t.
+The kernel forms d = gap y from t itself, so one domain [0, T] serves every
+rate pair: for t >= 1, 1 <= k <= 2t (k grows with t, is (1 + x)(1 - e^(-x))/x
+>= 1 at t = 1 for x = gap/lambda_lo, and is at most t lambda_hi/lambda_lo and
+at most lambda_hi/gap), so the tail of g |t - ln k| beyond T is below
+2 e^(-T) (T^2 + 2T + 2), ``_unit_tail``. Only the density kernel is shared
+with the package, never the digamma closed form, so agreement checks the latter.
 """
 
 from __future__ import annotations
@@ -47,8 +42,7 @@ from .specfun import _require_positive
 class ConvergenceError(RuntimeError):
     """Raised when a quadrature cannot reach its tolerance: the tail bound stays above a tenth
     of it at every T tried (or v/u < DBL_MIN), the error estimate is not finite, or the
-    subdivision budget runs out. Each panel's estimate is at least 50 eps |its Kronrod value|
-    (QUADPACK's round-off floor), so a tolerance below what doubles resolve raises."""
+    subdivision budget runs out, as it does below the round-off floor ``_ROUNDOFF``."""
 
 
 #: A Monte-Carlo estimate with its standard error and sample count.
@@ -59,49 +53,39 @@ EstimateWithError = namedtuple("EstimateWithError", "estimate std_error n_sample
 MAX_SUBDIVISIONS = 2000
 
 # QUADPACK dqk15's floor on a panel's error estimate, as a multiple of |Kronrod value|:
-# K and G can round to one double, so |K - G| alone may read 0 (Piessens et al. 1983)
+# K and G can round to one double, so |K - G| alone may read 0 (Piessens et al. 1983).
+# A tolerance below what doubles resolve therefore raises ConvergenceError.
 _ROUNDOFF = 50.0 * 2.0**-52
 
-#: Samples drawn and evaluated per chunk by ``entropy_monte_carlo``. Each of
-#: its at most two stripes keeps one buffer of this many floats and one of
-#: half as many, so peak memory is three buffers of this size, 1.5 MB at 2^16;
-#: at 10^7 samples on one core no size from 2^14 to 2^20 ran faster. Changing
-#: it changes the estimates' last bits for n above it.
+#: Samples drawn and evaluated per chunk by ``entropy_monte_carlo``, whose
+#: docstring gives its buffers and peak memory; at 10^7 samples on one core no
+#: size from 2^14 to 2^20 ran faster. Changing it changes the estimates' last
+#: bits for n above it.
 MC_CHUNK = 1 << 16
 
-# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
-# (QUADPACK dqk15 abscissae and weights). The embedded Gauss value uses
-# every second node; |K15 - G7| serves as the per-panel error estimate.
-_XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-    0.0,
+# Gauss-Kronrod 15(7) on [-1, 1], QUADPACK dqk15's abscissae and weights (Piessens et al.
+# 1983): per node, ascending, (node, Kronrod weight, Gauss weight), the Gauss weight 0.0 on
+# the eight Kronrod-only nodes. |K15 - G7| serves as the per-panel error estimate.
+_GK15 = (
+    (-0.9914553711208126, 0.0229353220105292, 0.0),
+    (-0.9491079123427585, 0.0630920926299785, 0.1294849661688697),
+    (-0.8648644233597691, 0.1047900103222502, 0.0),
+    (-0.7415311855993944, 0.1406532597155259, 0.2797053914892767),
+    (-0.5860872354676911, 0.1690047266392679, 0.0),
+    (-0.4058451513773972, 0.1903505780647854, 0.3818300505051189),
+    (-0.2077849550078985, 0.2044329400752989, 0.0),
+    (0.0, 0.2094821410847278, 0.4179591836734694),
+    (0.2077849550078985, 0.2044329400752989, 0.0),
+    (0.4058451513773972, 0.1903505780647854, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993944, 0.1406532597155259, 0.2797053914892767),
+    (0.8648644233597691, 0.1047900103222502, 0.0),
+    (0.9491079123427585, 0.0630920926299785, 0.1294849661688697),
+    (0.9914553711208126, 0.0229353220105292, 0.0),
 )
-_WGK = (
-    0.0229353220105292,
-    0.0630920926299785,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-    0.2094821410847278,
-)
-_WG = (
-    0.1294849661688697,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
-)
-# The 15 nodes in ascending order, and the rule matrix of ``_adaptive``: per node a row
-# (Kronrod weight, Gauss weight), the Gauss weight 0 on the eight Kronrod-only nodes.
-_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
-_RULE = tuple(zip(_WGK[:-1] + _WGK[::-1], [0.0] + [w for g in _WG + _WG[-2::-1] for w in (g, 0.0)]))
+# the nodes, and the rule matrix of ``_adaptive``: per node a row (Kronrod weight, Gauss weight)
+_NODES = tuple(row[0] for row in _GK15)
+_RULE = tuple(row[1:] for row in _GK15)
 
 
 def _adaptive(f, tail, abs_tol: float) -> float:
@@ -111,7 +95,7 @@ def _adaptive(f, tail, abs_tol: float) -> float:
     heap records (-error estimate, a, b, Kronrod value) with one call of f, on the
     (panels, 15) float array of their nodes, which f must not write into and whose shape
     its float result keeps: it is called once on the four starting panels and once on the
-    two halves of each split."""
+    two halves of each split, with numpy's overflow and invalid warnings off."""
     import numpy as np
 
     t_max = 20.0
@@ -120,11 +104,11 @@ def _adaptive(f, tail, abs_tol: float) -> float:
             raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
         t_max *= 2.0
 
-    rule = np.array(_RULE)
+    rule = np.array(_RULE)  # built per call: importing this module does not load numpy
 
     def panels(spans):
         """The heap records of the panels (a, b) in spans, in order; each error estimate is
-        |Kronrod - Gauss|, raised to QUADPACK's round-off floor 50 eps |Kronrod|."""
+        |Kronrod - Gauss|, raised to the round-off floor ``_ROUNDOFF`` |Kronrod|."""
         mid_half = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in spans]
         # a row of nodes mid + h node per panel, in Python floats: the two roundings of
         # numpy's multiply and add, without the cost of broadcasting two columns
@@ -138,8 +122,9 @@ def _adaptive(f, tail, abs_tol: float) -> float:
         return [(-max(abs((v := h * k) - h * g), _ROUNDOFF * abs(v)), a, b, v)
                 for (a, b), (_, h), (k, g) in zip(spans, mid_half, kg)]
 
-    # an inf at a node meets a zero Gauss weight: the nan is reported below, not warned
-    with np.errstate(invalid="ignore"):
+    # d = gap t overflowing to +inf is exact in the kernel; an inf at a node meets a zero
+    # Gauss weight: the nan is reported below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
         heap = panels([(i * t_max / 4, (i + 1) * t_max / 4) for i in range(4)])  # exact edges
         total_err = 0.0
         for neg_err, *_ in heap:  # left to right and uncompensated, as the splits update it
@@ -166,9 +151,9 @@ def _adaptive(f, tail, abs_tol: float) -> float:
 
 
 def _normalization_integrand(rates: RatePair):
-    """The function g = e^(-t) k of the unit-scale nodes x = t, k from ``dist._unit_kernel``
-    at scale 1.0, which forms d. Like every integrand here it never writes into x, and
-    leaves the kernel's overflow warning to its caller."""
+    """The function g = e^(-t) k of the module docstring at the nodes x = t, k from
+    ``dist._unit_kernel`` at scale 1.0. Like every integrand here it never writes into x,
+    and leaves the kernel's overflow warning to ``_adaptive``."""
     import numpy as np
 
     def integrand(x):
@@ -192,25 +177,22 @@ def _entropy_integrand(rates: RatePair):
     return integrand
 
 
-def _unit_quadrature(rates: RatePair, abs_tol: float, integrand_of) -> float:
-    """int_0^T of ``integrand_of(rates)`` over the unit scale, with T from the tail bound."""
-    import numpy as np
-
-    abs_tol = _require_positive(abs_tol, "abs_tol")
-    tail = lambda t: 2.0 * math.exp(-t) * (t * t + 2.0 * t + 2.0)  # noqa: E731
-    with np.errstate(over="ignore"):  # d = gap t overflowing to +inf is exact in the kernel
-        return _adaptive(integrand_of(rates), tail, abs_tol)
+def _unit_tail(t: float) -> float:
+    """The module docstring's bound on the unit-scale integrands' tail beyond t."""
+    return 2.0 * math.exp(-t) * (t * t + 2.0 * t + 2.0)
 
 
 def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
     """Differential entropy -int f ln f of the sum at ``rates``, by adaptive quadrature
     of -ln lambda_lo + int_0^T g (t - ln k) dt, with 0 ln 0 = 0 where k vanishes."""
-    return _unit_quadrature(rates, abs_tol, _entropy_integrand) - math.log(rates.lambda_lo)
+    tol = _require_positive(abs_tol, "abs_tol")
+    return _adaptive(_entropy_integrand(rates), _unit_tail, tol) - math.log(rates.lambda_lo)
 
 
 def normalization_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
     """int f = int_0^T g dt at ``rates``, as in ``entropy_quadrature``; should be 1."""
-    return _unit_quadrature(rates, abs_tol, _normalization_integrand)
+    tol = _require_positive(abs_tol, "abs_tol")
+    return _adaptive(_normalization_integrand(rates), _unit_tail, tol)
 
 
 def _usable_cores() -> int:
@@ -223,8 +205,9 @@ def _usable_cores() -> int:
 def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_buf) -> list:
     """Draw, evaluate and reduce the chunks at ``starts`` in order; return the list of
     their (sum, M2), or raise FloatingPointError at the first chunk whose sum is not
-    finite. t is drawn into ``vals_buf``, the lambda_lo draws and k into ``k_buf``,
-    one sub-block of its length at a time: the work is elementwise, so no bit moves."""
+    finite. ``vals_buf`` holds t and ``k_buf`` the lambda_lo draws and k, as in
+    ``entropy_monte_carlo``, one sub-block of its length at a time: the work is
+    elementwise, so no bit moves."""
     import numpy as np
 
     hi, lo = rates
@@ -278,14 +261,15 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     one-shot stream, and its own two buffers, allocated by the calling
     thread: ``MC_CHUNK`` floats for t - ln k and half as many for the
     lambda_lo draws and k, so no chunk allocates an array and peak memory is
-    at most three chunk buffers. The stripes return each chunk's sum and sum
-    of squared deviations M2, merged in chunk order, the sums with Neumaier's
-    compensation and the M2 values with the pairwise update of Chan, Golub
-    and LeVeque (1979). For n <= ``MC_CHUNK`` there is one chunk, no thread
-    is started, and the estimates are bit-identical to the one-shot
-    ``vals.mean() - ln lambda_lo`` and ``vals.std(ddof=1)``; above that they
-    agree with it to a few ulp (within 1 ulp of the correctly rounded mean,
-    and M2 within 1e-15 relative, on the cases measured up to 10^7 samples).
+    at most three chunk buffers, 1.5 MB at 2^16. The stripes return each
+    chunk's sum and sum of squared deviations M2, merged in chunk order, the
+    sums with Neumaier's compensation and the M2 values with the pairwise
+    update of Chan, Golub and LeVeque (1979). For n <= ``MC_CHUNK`` there is
+    one chunk, no thread is started, and the estimates are bit-identical to
+    the one-shot ``vals.mean() - ln lambda_lo`` and ``vals.std(ddof=1)``;
+    above that they agree with it to a few ulp (within 1 ulp of the correctly
+    rounded mean, and M2 within 1e-15 relative, on the cases measured up to
+    10^7 samples).
 
     Raises FloatingPointError, naming the sample, where t - ln k is inf or nan.
     Each stripe raises its own at its first such chunk. The second stripe's
@@ -299,7 +283,6 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     if n < 2:
         raise ValueError(f"n must be at least 2 to form a standard error, got {n}")
     starts = range(0, n, MC_CHUNK)
-    # two stripes of 1.5 chunk buffers each hold peak memory at three buffers
     stripes = min(2, _usable_cores(), len(starts))
     cut = -(-len(starts) // stripes)
     # allocated here, not in the pool thread, whose own malloc arena would add to peak memory

@@ -18,7 +18,7 @@ truncation error is largest where the series starts, at x = 10, where it
 is 4.2e-17.
 
 ``_digamma_minus_log_array`` takes the same steps over a numpy array of
-arguments x >= 1, bit for bit; numpy is imported inside it only.
+arguments x >= 1, bit for bit.
 """
 
 from __future__ import annotations
