@@ -1,7 +1,9 @@
 """Command-line interface: point evaluations, verification, figure data.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
-3 quadrature convergence failure, 4 output I/O failure, 5 internal error.
+3 quadrature convergence failure, 4 output I/O failure, 5 internal error
+or resource limit. Only argument checks exit 2: every error raised after
+them, a ValueError included, maps to 3, 4 or 5.
 """
 
 from __future__ import annotations
@@ -371,15 +373,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code is None else int(exc.code)
+        return exc.code  # argparse exits with an int: 0 after --help, 2 on an argument error
     try:
         return args.func(args)
     except oracle.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -95,7 +95,9 @@ def _adaptive(f, tail, abs_tol: float) -> float:
     heap records (-error estimate, a, b, Kronrod value) with one call of f, on the
     (panels, 15) float array of their nodes, which f must not write into and whose shape
     its float result keeps: it is called once on the four starting panels and once on the
-    two halves of each split, with numpy's overflow and invalid warnings off."""
+    two halves of each split, with numpy's overflow and invalid warnings off. Raises
+    ValueError unless abs_tol is positive and finite."""
+    abs_tol = _require_positive(abs_tol, "abs_tol")
     import numpy as np
 
     t_max = 20.0
@@ -185,14 +187,12 @@ def _unit_tail(t: float) -> float:
 def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
     """Differential entropy -int f ln f of the sum at ``rates``, by adaptive quadrature
     of -ln lambda_lo + int_0^T g (t - ln k) dt, with 0 ln 0 = 0 where k vanishes."""
-    tol = _require_positive(abs_tol, "abs_tol")
-    return _adaptive(_entropy_integrand(rates), _unit_tail, tol) - math.log(rates.lambda_lo)
+    return _adaptive(_entropy_integrand(rates), _unit_tail, abs_tol) - math.log(rates.lambda_lo)
 
 
 def normalization_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
     """int f = int_0^T g dt at ``rates``, as in ``entropy_quadrature``; should be 1."""
-    tol = _require_positive(abs_tol, "abs_tol")
-    return _adaptive(_normalization_integrand(rates), _unit_tail, tol)
+    return _adaptive(_normalization_integrand(rates), _unit_tail, abs_tol)
 
 
 def _usable_cores() -> int:
@@ -339,15 +339,15 @@ def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     (1 - e^(-b T))) as -ln(1 - z) <= z/(1 - z). abs_tol bounds the error of J; since
     |J| >= 1, the returned value's relative error is at most about abs_tol (its absolute
     error about abs_tol/max(u, v)). Raises ConvergenceError where b < DBL_MIN
-    (u/v > 4.5e307). It should match -(gamma + psi(u/v + 1))/u.
+    (u/v > 4.5e307), before ``_adaptive`` checks abs_tol. It should match
+    -(gamma + psi(u/v + 1))/u.
     """
     u = _require_positive(u, "u")
     v = _require_positive(v, "v")
-    tol = _require_positive(abs_tol, "abs_tol")
     c = max(u, v)
     a, b = u / c, v / c
     if b < 2.0**-1022:  # DBL_MIN
         raise ConvergenceError(f"v/u below DBL_MIN at u = {u!r}, v = {v!r}")
 
     tail = lambda t: math.exp(-(a + b) * t) / ((a + b) * -math.expm1(-b * t))  # noqa: E731
-    return _adaptive(_log_integrand(a, b), tail, tol) / c
+    return _adaptive(_log_integrand(a, b), tail, abs_tol) / c

@@ -282,6 +282,11 @@ ARGUMENT_CASES = [
 
 
 class TestArgumentErrors:
+    def test_help_exits_zero(self, capsys):
+        code, out, err = run(capsys, ["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: expsum")
+
     @pytest.mark.parametrize("prefix, flag, text, message", ARGUMENT_CASES)
     def test_exact_error_text(self, capsys, prefix, flag, text, message):
         code, out, err = run(capsys, [*prefix, f"{flag}={text}"])
@@ -464,6 +469,13 @@ class TestFigureCommand:
         code, _, _ = run(capsys, ["figure", "fig1", "--grid-points", "1"])
         assert code == 2
 
+    def test_grid_numpy_refuses_to_allocate_exits_five(self, capsys, tmp_path):
+        # a valid count: the parser accepts it and numpy's size check raises ValueError
+        argv = ["figure", "fig1", "--grid-points", str(10**20), "--out", str(tmp_path / "f.csv")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err.startswith("error: internal: ValueError: ")
+
 
 class TestVerifyCommand:
     def test_suite_passes(self, capsys):
@@ -523,7 +535,9 @@ class TestDeterminism:
 
 
 class TestInternalError:
-    @pytest.mark.parametrize("exc", [MemoryError("no room"), ZeroDivisionError("division by zero")])
+    @pytest.mark.parametrize(
+        "exc", [MemoryError("no room"), ZeroDivisionError("division by zero"), ValueError("bad value")]
+    )
     def test_unexpected_exception_exits_five(self, capsys, monkeypatch, exc):
         def boom(args):
             raise exc

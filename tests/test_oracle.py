@@ -30,8 +30,9 @@ from expsum.oracle import (
 from expsum.specfun import EULER_GAMMA
 
 
-class TestQuadratureConfig:
-    """The tolerance keyword and the subdivision budget of the quadrature oracles."""
+class TestToleranceAndBudget:
+    """The abs_tol default of the three quadratures, its rejection by the driver they share,
+    and the driver's subdivision budget ``MAX_SUBDIVISIONS``."""
 
     def test_defaults(self):
         for fn in (entropy_quadrature, normalization_quadrature, gr_log_integral):
@@ -45,10 +46,15 @@ class TestQuadratureConfig:
             lambda: entropy_quadrature(d, abs_tol=tol),
             lambda: normalization_quadrature(d, abs_tol=tol),
             lambda: gr_log_integral(1.0, 1.0, abs_tol=tol),
+            lambda: oracle._adaptive(np.exp, oracle._unit_tail, tol),
         ):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == f"abs_tol must be positive and finite, got {tol!r}"
+
+    def test_ratio_below_dbl_min_is_reported_before_the_tolerance(self):
+        with pytest.raises(ConvergenceError, match="below DBL_MIN"):
+            gr_log_integral(1e308, 1e-10, abs_tol=0.0)
 
 
 class TestEntropyQuadrature:
