@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import entropy as entropy_mod
@@ -260,14 +261,34 @@ FIGURES = {
 RENDERERS = {"csv": _render_csv, "json": _render_json}
 
 
+def _write_out(path: str, pieces) -> None:
+    """Write the text ``pieces`` to ``path``. A regular file, or the one a symlink names, is
+    replaced all or nothing, by a new file with its mode (0o666 less the umask where there
+    was none) renamed over it. Anything else, such as /dev/null, is written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            return fh.writelines(pieces)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}")
+    fh = open(tmp, "x", encoding="utf-8", newline="")  # mode 0o666 less the umask
+    try:
+        with fh:
+            fh.writelines(pieces)
+        if os.path.exists(target):
+            os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_figure(args) -> int:
     header, blocks_of = FIGURES[args.figure_id]
     pieces = RENDERERS[args.format](header, blocks_of(args.grid_points))
     if args.out is None:
         sys.stdout.writelines(pieces)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+        _write_out(args.out, pieces)
     return EXIT_OK
 
 

@@ -4,8 +4,8 @@ Three oracles, none of which share code paths with the closed-form
 entropy expressions:
 
 * ``entropy_quadrature`` integrates -f ln f directly, like the other two
-  quadratures by adaptive Gauss-Kronrod on [0, T], T the smallest doubling
-  of 20 at which an analytic tail bound drops below a tenth of abs_tol.
+  quadratures by adaptive Gauss-Kronrod over [0, inf), mapped onto u in
+  (0, 1] by x = (1 - u)/u, with no cut-off.
 * ``entropy_monte_carlo`` is the resubstitution estimator
   -(1/n) sum ln f(Y_i) over seeded samples drawn from f itself, taken in
   the unit scale as -ln lambda_lo + (1/n) sum (t_i - ln k_i).
@@ -19,12 +19,9 @@ The entropy oracles work in ``dist``'s unit scale t = lambda_lo y, where
 f(y) = lambda_lo g(t) with g = e^(-t) k. The entropy is a scale family,
 h(Y) = h(lambda_lo Y) - ln lambda_lo, so h = -ln lambda_lo + int g (t - ln k) dt,
 which the quadratures integrate and Monte Carlo averages over samples of t.
-The kernel forms d = gap y from t itself, so one domain [0, T] serves every
-rate pair: for t >= 1, 1 <= k <= 2t (k grows with t, is (1 + x)(1 - e^(-x))/x
->= 1 at t = 1 for x = gap/lambda_lo, and is at most t lambda_hi/lambda_lo and
-at most lambda_hi/gap), so the tail of g |t - ln k| beyond T is below
-2 e^(-T) (T^2 + 2T + 2), ``_unit_tail``. Only the density kernel is shared
-with the package, never the digamma closed form, so agreement checks the latter.
+The kernel forms d = gap y from t itself, so one integrand serves every rate
+pair. Only the density kernel is shared with the package, never the digamma
+closed form, so agreement checks the latter.
 """
 
 from __future__ import annotations
@@ -40,9 +37,8 @@ from .specfun import _require_positive
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a quadrature cannot reach its tolerance: the tail bound stays above a tenth
-    of it at every T tried (or v/u < DBL_MIN), the error estimate is not finite, or the
-    subdivision budget runs out, as it does below the round-off floor ``_ROUNDOFF``."""
+    """Raised when a quadrature cannot reach its tolerance: its error estimate is not finite
+    (or v/u < DBL_MIN), or the subdivision budget runs out, as below the floor ``_ROUNDOFF``."""
 
 
 #: A Monte-Carlo estimate with its standard error and sample count.
@@ -83,30 +79,21 @@ _GK15 = (
     (0.9491079123427585, 0.0630920926299785, 0.1294849661688697),
     (0.9914553711208126, 0.0229353220105292, 0.0),
 )
-# the nodes, and the rule matrix of ``_adaptive``: per node a row (Kronrod weight, Gauss weight)
-_NODES = tuple(row[0] for row in _GK15)
-_RULE = tuple(row[1:] for row in _GK15)
+_NODES, _KRONROD, _GAUSS = zip(*_GK15)  # the table's columns
 
 
-def _adaptive(f, tail, abs_tol: float) -> float:
-    """int_0^T f, T the least doubling of 20 with tail(T) < abs_tol/10, by globally
-    adaptive bisection with the Gauss-Kronrod 15(7) rule, always splitting the worst
-    panel. One evaluator, ``panels(spans)``, turns a list of (a, b) panels into their
-    heap records (-error estimate, a, b, Kronrod value) with one call of f, on the
-    (panels, 15) float array of their nodes, which f must not write into and whose shape
-    its float result keeps: it is called once on the four starting panels and once on the
-    two halves of each split, with numpy's overflow and invalid warnings off. Raises
-    ValueError unless abs_tol is positive and finite."""
+def _adaptive(f, abs_tol: float) -> float:
+    """int_0^inf f(x) dx as int_0^1 f((1 - u)/u)/u^2 du, QUADPACK's QAGI map (Piessens et al. 1983),
+    by globally adaptive Gauss-Kronrod 15(7) bisection in u, worst panel first, from 46 panels with
+    edges 0, 1/4, 1/2, 3/4, 1 - 2^-k (3 <= k <= 44) and 1: dyadic toward a boundary layer at x = 0,
+    where 1 - u is exact. ``panels(spans)`` makes the heap records (-error estimate, a, b, Kronrod
+    value) of (a, b) panels with one call of f, for the start and for each split's halves, on the x
+    of their nodes: a (panels, 15) float array whose shape f's result keeps. numpy's overflow,
+    invalid and divide warnings are off. Raises ValueError unless abs_tol is positive and finite."""
     abs_tol = _require_positive(abs_tol, "abs_tol")
     import numpy as np
 
-    t_max = 20.0
-    while tail(t_max) >= abs_tol / 10.0:
-        if t_max > 2000.0:
-            raise ConvergenceError(f"tail bound would not drop below {abs_tol / 10.0:.3e}")
-        t_max *= 2.0
-
-    rule = np.array(_RULE)  # built per call: importing this module does not load numpy
+    kronrod, gauss = np.array((_KRONROD, _GAUSS))  # per call: importing loads no numpy
 
     def panels(spans):
         """The heap records of the panels (a, b) in spans, in order; each error estimate is
@@ -114,20 +101,20 @@ def _adaptive(f, tail, abs_tol: float) -> float:
         mid_half = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in spans]
         # a row of nodes mid + h node per panel, in Python floats: the two roundings of
         # numpy's multiply and add, without the cost of broadcasting two columns
-        x = np.array([m + h * node for m, h in mid_half for node in _NODES]).reshape(-1, 15)
-        # rows @ rule is an OpenBLAS sum whose bits depend on the runtime kernel and on the
-        # row count: under OpenBLAS 0.3.31's SkylakeX and Haswell kernels, 76-82% of seeded
-        # random rows rounded differently alone than among others, while products of 2 to
-        # 399 rows agreed (Sandybridge: all agreed). Each product here has 2 or 4 rows
-        kg = (f(x) @ rule).tolist()
+        u = np.array([m + h * node for m, h in mid_half for node in _NODES]).reshape(-1, 15)
+        fx = f((1.0 - u) / u) / (u * u)
+        # per column, not fx @ rule, which OpenBLAS rounds by its kernel and row count
+        ks = np.add.reduce(fx * kronrod, axis=1).tolist()
+        gs = np.add.reduce(fx * gauss, axis=1).tolist()
         # a nan |K - G| comes first in max, so it stays nan
         return [(-max(abs((v := h * k) - h * g), _ROUNDOFF * abs(v)), a, b, v)
-                for (a, b), (_, h), (k, g) in zip(spans, mid_half, kg)]
+                for (a, b), (_, h), k, g in zip(spans, mid_half, ks, gs)]
 
-    # d = gap t overflowing to +inf is exact in the kernel; an inf at a node meets a zero
-    # Gauss weight: the nan is reported below, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        heap = panels([(i * t_max / 4, (i + 1) * t_max / 4) for i in range(4)])  # exact edges
+    # d = gap t overflows exactly; x = 0 at a node rounded to u = 1 gives ln(1 - e^0) = -inf;
+    # an inf meets a zero Gauss weight: the nan estimate is reported below, not warned
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        edges = (0.0, 0.25, 0.5, 0.75, *(1.0 - 2.0**-k for k in range(3, 45)), 1.0)  # exact
+        heap = panels(list(zip(edges, edges[1:])))
         total_err = 0.0
         for neg_err, *_ in heap:  # left to right and uncompensated, as the splits update it
             total_err += -neg_err
@@ -138,7 +125,7 @@ def _adaptive(f, tail, abs_tol: float) -> float:
                 neg_err, pa, pb, _ = next((p for p in heap if not math.isfinite(p[0])), heap[0])
                 raise ConvergenceError(
                     f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
-                    f"after {splits} subdivisions of [0.0, {t_max!r}] "
+                    f"after {splits} subdivisions of u in (0.0, 1.0] "
                     f"({15 * (len(heap) + splits)} integrand points); "
                     f"worst panel [{pa!r}, {pb!r}] with estimated error {-neg_err:.3e}"
                 )
@@ -179,20 +166,15 @@ def _entropy_integrand(rates: RatePair):
     return integrand
 
 
-def _unit_tail(t: float) -> float:
-    """The module docstring's bound on the unit-scale integrands' tail beyond t."""
-    return 2.0 * math.exp(-t) * (t * t + 2.0 * t + 2.0)
-
-
 def entropy_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
     """Differential entropy -int f ln f of the sum at ``rates``, by adaptive quadrature
-    of -ln lambda_lo + int_0^T g (t - ln k) dt, with 0 ln 0 = 0 where k vanishes."""
-    return _adaptive(_entropy_integrand(rates), _unit_tail, abs_tol) - math.log(rates.lambda_lo)
+    of -ln lambda_lo + int_0^inf g (t - ln k) dt, with 0 ln 0 = 0 where k vanishes."""
+    return _adaptive(_entropy_integrand(rates), abs_tol) - math.log(rates.lambda_lo)
 
 
 def normalization_quadrature(rates: RatePair, *, abs_tol: float = 1e-10) -> float:
-    """int f = int_0^T g dt at ``rates``, as in ``entropy_quadrature``; should be 1."""
-    return _adaptive(_normalization_integrand(rates), _unit_tail, abs_tol)
+    """int f = int_0^inf g dt at ``rates``, as in ``entropy_quadrature``; should be 1."""
+    return _adaptive(_normalization_integrand(rates), abs_tol)
 
 
 def _usable_cores() -> int:
@@ -334,13 +316,11 @@ def _log_integrand(a: float, b: float):
 def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     """Numerically evaluate int_0^inf exp(-u x) ln(1 - exp(-v x)) dx.
 
-    In the scale s = c x, c = max(u, v), a = u/c, b = v/c, it is J/c with J = int_0^T
-    e^(-a s) ln(1 - e^(-b s)) ds, whose tail beyond T is below e^(-(a+b) T) / ((a+b)
-    (1 - e^(-b T))) as -ln(1 - z) <= z/(1 - z). abs_tol bounds the error of J; since
-    |J| >= 1, the returned value's relative error is at most about abs_tol (its absolute
-    error about abs_tol/max(u, v)). Raises ConvergenceError where b < DBL_MIN
-    (u/v > 4.5e307), before ``_adaptive`` checks abs_tol. It should match
-    -(gamma + psi(u/v + 1))/u.
+    In the scale s = c x, c = max(u, v), a = u/c, b = v/c, it is J/c with J = int_0^inf
+    e^(-a s) ln(1 - e^(-b s)) ds. abs_tol bounds the error of J; since |J| >= 1, the
+    returned value's relative error is at most about abs_tol (its absolute error about
+    abs_tol/max(u, v)). Raises ConvergenceError where b < DBL_MIN (u/v > 4.5e307), before
+    ``_adaptive`` checks abs_tol. It should match -(gamma + psi(u/v + 1))/u.
     """
     u = _require_positive(u, "u")
     v = _require_positive(v, "v")
@@ -348,6 +328,4 @@ def gr_log_integral(u: float, v: float, *, abs_tol: float = 1e-10) -> float:
     a, b = u / c, v / c
     if b < 2.0**-1022:  # DBL_MIN
         raise ConvergenceError(f"v/u below DBL_MIN at u = {u!r}, v = {v!r}")
-
-    tail = lambda t: math.exp(-(a + b) * t) / ((a + b) * -math.expm1(-b * t))  # noqa: E731
-    return _adaptive(_log_integrand(a, b), tail, abs_tol) / c
+    return _adaptive(_log_integrand(a, b), abs_tol) / c

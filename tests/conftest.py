@@ -34,8 +34,8 @@ def openblas_core():
 
 def pytest_report_header(config):
     """numpy's version, the SIMD targets it dispatches to and the OpenBLAS core picked at
-    run time: numpy's exp, log, expm1, log1p and geomspace, and the quadrature's rows @ rule
-    product, and so the quadrature and figure bit goldens, depend on them."""
+    run time: numpy's exp, log, expm1, log1p and geomspace, and so the quadrature and figure
+    bit goldens, depend on the dispatch; CI checks that they do not depend on the core."""
     import numpy as np
 
     found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import time
@@ -106,7 +107,7 @@ class TestEntropyCommand:
 
     @pytest.mark.parametrize("rates", [("2e-300", "1e-300"), ("2e200", "1e200")])
     def test_quadrature_at_extreme_distinct_rates(self, capsys, rates):
-        # the tail bound's constant c under- or overflows at these rates; its log does not
+        # distinct rates near both ends of the double range
         argv = ["entropy", "--lambda-w", rates[0], "--lambda-x", rates[1]]
         code, out, err = run(capsys, [*argv, "--method", "quad", "--tol", "1e-10"])
         assert (code, err) == (0, "")
@@ -148,8 +149,8 @@ class TestEntropyCommand:
         miss = abs(first_value(out, "entropy_nats") - first_value(closed, "entropy_nats"))
         assert miss <= 5.0 * first_value(out, "std_error")
 
-    def test_tolerance_below_the_tail_bound_exits_three_at_once(self, capsys):
-        # abs_tol/10 underflows to 0, which no tail bound drops below
+    def test_subnormal_tolerance_exits_three_at_once(self, capsys):
+        # no error estimate reaches 5e-324, and the subdivision budget runs out quickly
         argv = ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "quad"]
         start = time.perf_counter()
         code, out, err = run(capsys, [*argv, "--tol", "5e-324"])
@@ -475,6 +476,38 @@ class TestFigureCommand:
         code, out, err = run(capsys, argv)
         assert (code, out) == (cli.EXIT_INTERNAL, "")
         assert err.startswith("error: internal: ValueError: ")
+
+    def test_failed_figure_leaves_the_old_file(self, capsys, tmp_path):
+        out = tmp_path / "fig1.csv"
+        out.write_bytes(b"old bytes\n")
+        argv = ["figure", "fig1", "--grid-points", str(10**20), "--out", str(out)]
+        assert run(capsys, argv)[0] == cli.EXIT_INTERNAL
+        assert out.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["fig1.csv"]  # the new file was removed
+
+    def test_out_replaces_the_file_a_symlink_names_and_keeps_its_mode(self, capsys, tmp_path):
+        argv = ["figure", "fig1", "--grid-points", "5"]
+        expected = run(capsys, argv)[1].encode()
+        target, link, new = tmp_path / "fig1.csv", tmp_path / "link.csv", tmp_path / "new.csv"
+        target.write_bytes(b"old bytes\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        umask = os.umask(0o002)
+        try:
+            assert run(capsys, [*argv, "--out", str(link)])[0] == 0
+            assert run(capsys, [*argv, "--out", str(new)])[0] == 0
+        finally:
+            os.umask(umask)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == new.read_bytes() == expected
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == 0o664  # 0o666 less the umask
+        assert sorted(os.listdir(tmp_path)) == ["fig1.csv", "link.csv", "new.csv"]
+
+    def test_out_to_a_device_is_written_in_place(self, capsys):
+        assert run(capsys, ["figure", "fig1", "--grid-points", "5", "--out", os.devnull]) == (
+            0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestVerifyCommand:

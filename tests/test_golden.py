@@ -36,6 +36,13 @@ The 32 ``gr_log_integral`` corpus values and the ``verify`` log-integral
 line were re-recorded when the log integral left the substitution
 xi = e^(-vx) for the [0, T] tail-bound domain of the entropy quadratures,
 after the cap on the corpus's worst error below passed on the old values.
+
+The whole oracle corpus, the four ``--method quad`` lines and the ``verify``
+report were re-recorded when every quadrature moved from [0, T] onto u in
+(0, 1] by x = (1 - u)/u, from dyadic start panels at u -> 1, with panel sums
+that no longer go through BLAS; both caps below passed on the new values.
+``BEFORE_MAPPED_QUADRATURE`` keeps the quadrature lines' values from before,
+and the test below shows that each new one is at least as close to mpmath.
 """
 
 import hashlib
@@ -176,6 +183,21 @@ def test_rerecorded_mutual_information_is_closer_to_mpmath(mp, command):
     old = BEFORE_NEAR_ONE_SERIES[command]
     assert abs(value - exact) < abs(old - exact)
     assert abs(value - exact) <= 1e-15 * exact
+
+
+BEFORE_MAPPED_QUADRATURE = {
+    "entropy --lambda-w 2 --lambda-x 1 --method quad": 1.3068528194403262,
+    "entropy --lambda-w 1 --lambda-x 1 --method quad": 1.5772156649020703,
+    "entropy --lambda-w 10 --lambda-x 0.3 --method quad": 2.2232691396934543,
+    "entropy --lambda-w 1.7e308 --lambda-x 1.6e308 --method quad": -708.11869662223853,
+}
+
+
+@pytest.mark.parametrize("command", sorted(BEFORE_MAPPED_QUADRATURE))
+def test_rerecorded_quadrature_lines_are_at_least_as_close_to_mpmath(mp, command):
+    (value,) = printed_values(GOLDEN["commands"][command]["stdout"])
+    (exact,) = exact_values(mp, command.removesuffix(" --method quad"))
+    assert abs(value - exact) <= abs(BEFORE_MAPPED_QUADRATURE[command] - exact)
 
 
 def previous_closed_form(rate_a, rate_b):

@@ -16,7 +16,7 @@ import pytest
 from conftest import mp_log_integral
 from expsum import dist, oracle
 from expsum.dist import RatePair, exponential_draws
-from expsum.entropy import erlang2_entropy
+from expsum.entropy import erlang2_entropy, hypoexp_entropy
 from expsum.oracle import (
     MAX_SUBDIVISIONS,
     MC_CHUNK,
@@ -46,7 +46,7 @@ class TestToleranceAndBudget:
             lambda: entropy_quadrature(d, abs_tol=tol),
             lambda: normalization_quadrature(d, abs_tol=tol),
             lambda: gr_log_integral(1.0, 1.0, abs_tol=tol),
-            lambda: oracle._adaptive(np.exp, oracle._unit_tail, tol),
+            lambda: oracle._adaptive(np.exp, tol),
         ):
             with pytest.raises(ValueError) as info:
                 call()
@@ -79,6 +79,23 @@ class TestEntropyQuadrature:
         d = RatePair(2.0, 1.0)
         assert abs(entropy_quadrature(d, abs_tol=1e-6) - (2.0 - math.log(2.0))) < 1e-5
 
+    def test_meets_the_tolerance_on_separated_and_near_equal_pairs(self):
+        """600 seeded pairs, lambda_lo = 10^U(-6, 6): 300 with ratio 10^U(0, 15), where k's
+        boundary layer at t = 0 has width lambda_lo/gap, and 300 with ratio 1 + 10^U(-15, 0).
+        Both quadratures at abs_tol 1e-10 are within 1e-9 of the closed form and of 1."""
+        rng = np.random.default_rng(20161121)
+        lo = 10.0 ** rng.uniform(-6.0, 6.0, 600)
+        ratio = np.concatenate([10.0 ** rng.uniform(0.0, 15.0, 300),
+                                1.0 + 10.0 ** rng.uniform(-15.0, 0.0, 300)])
+        misses = []
+        for pair in zip((lo * ratio).tolist(), lo.tolist()):
+            rates = RatePair(*pair)
+            errors = (entropy_quadrature(rates) - hypoexp_entropy(rates),
+                      normalization_quadrature(rates) - 1.0)
+            if not max(map(abs, errors)) <= 1e-9:
+                misses.append((pair, errors))
+        assert misses == []
+
     def test_budget_exhaustion_raises(self):
         # the case of the golden exit-3 command: 1e-30 is below what doubles resolve
         with pytest.raises(ConvergenceError):
@@ -89,58 +106,58 @@ class TestEntropyQuadrature:
         with pytest.raises(ConvergenceError) as info:
             entropy_quadrature(RatePair(2.0, 1.0))
         assert str(info.value) == (
-            "estimated error 2.359e-02 above tolerance 1.000e-10 after 0 subdivisions "
-            "of [0.0, 40.0] (60 integrand points); "
-            "worst panel [0.0, 10.0] with estimated error 2.359e-02"
+            "estimated error 8.564e-05 above tolerance 1.000e-10 after 0 subdivisions "
+            "of u in (0.0, 1.0] (690 integrand points); "
+            "worst panel [0.0, 0.25] with estimated error 8.564e-05"
         )
 
 
 class TestAdaptive:
     def test_one_integrand_call_per_split(self):
-        # the four starting panels are one call, and each split's two halves another
+        # the 46 start panels are one call, and each split's two halves another
         sizes = []
 
         def f(x):
             sizes.append(x.size)
             return np.exp(-x) * np.sin(3.0 * x) ** 2
 
-        value = oracle._adaptive(f, lambda t: 0.0, 1e-12)  # [0, 20]
-        tail = math.exp(-20.0) * (6.0 * math.sin(120.0) - math.cos(120.0))
-        assert abs(value - (-math.expm1(-20.0) / 2.0 - (1.0 + tail) / 74.0)) < 1e-11
+        value = oracle._adaptive(f, 1e-12)  # int_0^inf e^(-x) sin^2(3x) dx = 18/37
+        assert abs(value - 18.0 / 37.0) < 1e-11
         assert len(sizes) > 1
-        assert sizes[0] == 60
+        assert sizes[0] == 690
         assert set(sizes[1:]) == {30}
-        assert sum(sizes) == 15 * (4 + 2 * (len(sizes) - 1))
+        assert sum(sizes) == 15 * (46 + 2 * (len(sizes) - 1))
 
     @pytest.mark.parametrize("column, degree", [(0, 22), (1, 13)])
     def test_rule_columns_integrate_polynomials(self, column, degree):
         # K15 is exact to degree 22 and the embedded G7 to degree 13
-        nodes, weights = oracle._NODES, [row[column] for row in oracle._RULE]
+        nodes, weights = oracle._NODES, (oracle._KRONROD, oracle._GAUSS)[column]
         for k in range(degree + 1):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(math.fsum(w * x**k for w, x in zip(weights, nodes)) - exact) < 1e-15
 
     def test_gauss_column_is_zero_off_the_gauss_nodes(self):
         assert oracle._NODES == tuple(sorted(oracle._NODES))
-        assert [i for i, (_, g) in enumerate(oracle._RULE) if g == 0.0] == list(range(0, 15, 2))
+        assert [i for i, g in enumerate(oracle._GAUSS) if g == 0.0] == list(range(0, 15, 2))
         # nodes antisymmetric, both weight columns symmetric: with the exactness test above,
         # this pins the rule, since the Kronrod extension of G7 is unique
         assert oracle._NODES == tuple(-x for x in reversed(oracle._NODES))
-        assert oracle._RULE == oracle._RULE[::-1]
+        assert oracle._KRONROD == oracle._KRONROD[::-1]
+        assert oracle._GAUSS == oracle._GAUSS[::-1]
 
     def test_nan_error_estimate_is_not_convergence(self):
         with pytest.raises(ConvergenceError) as info:
-            oracle._adaptive(lambda x: np.where(x > 15.0, np.nan, 1.0), lambda t: 0.0, 1e-10)
+            oracle._adaptive(lambda x: np.where(x > 15.0, np.nan, 1.0), 1e-10)
         assert "estimated error nan" in str(info.value)
-        assert "of [0.0, 20.0]" in str(info.value)
-        assert str(info.value).endswith("; worst panel [15.0, 20.0] with estimated error nan")
+        assert "of u in (0.0, 1.0]" in str(info.value)
+        assert str(info.value).endswith("; worst panel [0.0, 0.25] with estimated error nan")
 
     @pytest.mark.parametrize(
         "integrand, budget, splits",
         [
             (lambda x: np.exp(-x), 3, 3),
-            # nan only past the starting panels' last node, 19.979: first seen after 12 splits
-            (lambda x: np.where(x > 19.99, np.nan, 1.0), None, 12),
+            # nan only past the start panels' largest x, 935.26: first seen after 7 splits
+            (lambda x: np.where(x > 1e5, np.nan, 1.0), None, 7),
         ],
         ids=["budget", "nan"],
     )
@@ -156,17 +173,17 @@ class TestAdaptive:
         if budget is not None:
             monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", budget)
         with pytest.raises(ConvergenceError) as info:
-            oracle._adaptive(f, lambda t: 0.0, 1e-30)
-        assert f"after {splits} subdivisions of [0.0, 20.0]" in str(info.value)
+            oracle._adaptive(f, 1e-30)
+        assert f"after {splits} subdivisions of u in (0.0, 1.0]" in str(info.value)
         assert f"({sum(seen)} integrand points)" in str(info.value)
 
     @pytest.mark.parametrize("inf", [math.inf, -math.inf])
     def test_infinite_integrand_is_not_convergence(self, inf):
         # a zero Gauss weight times inf is nan: no RuntimeWarning reaches the caller
         with pytest.raises(ConvergenceError) as info:
-            oracle._adaptive(lambda x: np.where(x > 15.0, inf, 1.0), lambda t: 0.0, 1e-10)
-        assert "after 0 subdivisions of [0.0, 20.0]" in str(info.value)
-        assert str(info.value).endswith("; worst panel [15.0, 20.0] with estimated error nan")
+            oracle._adaptive(lambda x: np.where(x > 15.0, inf, 1.0), 1e-10)
+        assert "after 0 subdivisions of u in (0.0, 1.0]" in str(info.value)
+        assert str(info.value).endswith("; worst panel [0.0, 0.25] with estimated error nan")
 
 
 def allocating_integrands(rates, a, b, x):
@@ -180,7 +197,7 @@ def allocating_integrands(rates, a, b, x):
 
 class TestLeanIntegrands:
     #: Unit-scale nodes: 0, where k = 0 and 0 ln 0 = 0; subnormal and tiny t, where
-    #: d = gap t underflows and k with it; ordinary nodes out to the largest T; nan.
+    #: d = gap t underflows and k with it; ordinary and large nodes; nan.
     NODES = [0.0, 5e-324, 1e-320, 1e-310, 2.0**-1022, 1e-300, 1e-30, 1e-8, 1e-3, 0.1, 0.5,
              1.0, 3.0, 10.0, 39.9, 100.0, 700.0, 745.2, 2000.0, 2560.0, math.nan]
     #: Equal rates, ordinary and near-equal pairs, a subnormal gap, and ratios from 1e300
@@ -194,7 +211,7 @@ class TestLeanIntegrands:
     def test_match_the_allocating_expressions_bit_for_bit(self, pair):
         rates = RatePair(*pair)
         ratio = rates.lambda_lo / rates.lambda_hi  # gr_log_integral's a and b: one of them 1
-        x = np.array(self.NODES * 3)[:60].reshape(4, 15)  # as the four start panels
+        x = np.array(self.NODES * 3)[:60].reshape(4, 15)  # a row of nodes per panel
         before = x.tobytes()
         for a, b in ((1.0, ratio), (ratio, 1.0)):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -214,10 +231,14 @@ class TestLeanIntegrands:
         with pytest.warns(RuntimeWarning, match="overflow"):
             dist._unit_kernel(RatePair(1.7e308, 1.0), np.array([39.9]), 1.0)
 
-    @pytest.mark.parametrize("pair", [(1e307, 1.0), (1.7e308, 1.0), (sys.float_info.max, 1.0)])
+    @pytest.mark.parametrize("pair", [
+        (1e307, 1.0), (1.7e308, 1.0), (sys.float_info.max, 1.0), (1.7e308, 5e-324),
+        (5e-324, 5e-324), (1e300, 1e-300), (sys.float_info.max, sys.float_info.max),
+        (1.0, 1.0 + 2.0**-52), (1e-310, 5e-311),
+    ])
     def test_quadratures_raise_no_warning_where_d_overflows(self, pair):
         # warnings are errors in every tier-1 run: the quadrature suppresses the
-        # kernel's exact overflow once, and stays finite
+        # kernel's exact overflow once, and stays finite, also at extreme ratios and rates
         rates = RatePair(*pair)
         assert math.isfinite(entropy_quadrature(rates, abs_tol=1e-6))
         assert math.isfinite(normalization_quadrature(rates, abs_tol=1e-6))
