@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 quadrature convergence failure, 4 output I/O failure, 5 internal error
-or resource limit. Only argument checks exit 2: every error raised after
-them, a ValueError included, maps to 3, 4 or 5.
+or resource limit, 130 interrupted (Ctrl-C). Only argument checks exit 2:
+every error raised after them, a ValueError included, maps to 3, 4 or 5.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 #: Figure rows computed, rendered and written per block. Peak memory is one
 #: block plus one curve's grid, whatever the number of grid points; on fig1
@@ -406,6 +407,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # keep 1 for a failed verification only
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

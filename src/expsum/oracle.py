@@ -26,7 +26,6 @@ closed form, so agreement checks the latter.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from collections import namedtuple
@@ -84,59 +83,48 @@ _NODES, _KRONROD, _GAUSS = zip(*_GK15)  # the table's columns
 
 def _adaptive(f, abs_tol: float) -> float:
     """int_0^inf f(x) dx as int_0^1 f((1 - u)/u)/u^2 du, QUADPACK's QAGI map (Piessens et al. 1983),
-    by globally adaptive Gauss-Kronrod 15(7) bisection in u, worst panel first, from 46 panels with
-    edges 0, 1/4, 1/2, 3/4, 1 - 2^-k (3 <= k <= 44) and 1: dyadic toward a boundary layer at x = 0,
-    where 1 - u is exact. ``panels(spans)`` makes the heap records (-error estimate, a, b, Kronrod
-    value) of (a, b) panels with one call of f, for the start and for each split's halves, on the x
-    of their nodes: a (panels, 15) float array whose shape f's result keeps. numpy's overflow,
-    invalid and divide warnings are off. Raises ValueError unless abs_tol is positive and finite."""
+    by Gauss-Kronrod 15(7) bisection in u, breadth first, from 46 panels with edges 0, 1/4, 1/2,
+    3/4, 1 - 2^-k (3 <= k <= 44) and 1: dyadic toward a boundary layer at x = 0, where 1 - u is
+    exact. Each round calls f once on the x of all open panels' nodes, a (panels, 15) float array
+    whose shape f's result keeps, closes each panel whose error estimate is within an equal share
+    of the tolerance left, and bisects the rest. numpy's overflow, invalid and divide warnings are
+    off. Raises ValueError unless abs_tol is positive and finite."""
     abs_tol = _require_positive(abs_tol, "abs_tol")
     import numpy as np
 
-    kronrod, gauss = np.array((_KRONROD, _GAUSS))  # per call: importing loads no numpy
-
-    def panels(spans):
-        """The heap records of the panels (a, b) in spans, in order; each error estimate is
-        |Kronrod - Gauss|, raised to the round-off floor ``_ROUNDOFF`` |Kronrod|."""
-        mid_half = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in spans]
-        # a row of nodes mid + h node per panel, in Python floats: the two roundings of
-        # numpy's multiply and add, without the cost of broadcasting two columns
-        u = np.array([m + h * node for m, h in mid_half for node in _NODES]).reshape(-1, 15)
-        fx = f((1.0 - u) / u) / (u * u)
-        # per column, not fx @ rule, which OpenBLAS rounds by its kernel and row count
-        ks = np.add.reduce(fx * kronrod, axis=1).tolist()
-        gs = np.add.reduce(fx * gauss, axis=1).tolist()
-        # a nan |K - G| comes first in max, so it stays nan
-        return [(-max(abs((v := h * k) - h * g), _ROUNDOFF * abs(v)), a, b, v)
-                for (a, b), (_, h), k, g in zip(spans, mid_half, ks, gs)]
-
+    nodes, kronrod, gauss = np.array((_NODES, _KRONROD, _GAUSS))  # per call: no numpy at import
     # d = gap t overflows exactly; x = 0 at a node rounded to u = 1 gives ln(1 - e^0) = -inf;
     # an inf meets a zero Gauss weight: the nan estimate is reported below, not warned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        edges = (0.0, 0.25, 0.5, 0.75, *(1.0 - 2.0**-k for k in range(3, 45)), 1.0)  # exact
-        heap = panels(list(zip(edges, edges[1:])))
-        total_err = 0.0
-        for neg_err, *_ in heap:  # left to right and uncompensated, as the splits update it
-            total_err += -neg_err
-        heapq.heapify(heap)
-        splits = 0
-        while not total_err <= abs_tol:  # a nan estimate is not convergence
-            if splits >= MAX_SUBDIVISIONS or not math.isfinite(total_err):
-                neg_err, pa, pb, _ = next((p for p in heap if not math.isfinite(p[0])), heap[0])
-                raise ConvergenceError(
-                    f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} "
-                    f"after {splits} subdivisions of u in (0.0, 1.0] "
-                    f"({15 * (len(heap) + splits)} integrand points); "
-                    f"worst panel [{pa!r}, {pb!r}] with estimated error {-neg_err:.3e}"
-                )
-            neg_err, pa, pb, _ = heapq.heappop(heap)  # on a tie, the lower a: panels are disjoint
-            mid = 0.5 * (pa + pb)
-            low, high = panels([(pa, mid), (mid, pb)])
-            total_err += -low[0] - high[0] + neg_err  # the halves' errors less the split one's
-            heapq.heappush(heap, low)
-            heapq.heappush(heap, high)
-            splits += 1
-    return math.fsum(panel[3] for panel in heap)
+        edges = np.array((0.0, 0.25, 0.5, 0.75, *(1.0 - 2.0**-k for k in range(3, 45)), 1.0))
+        a, b = edges[:-1], edges[1:]  # the open panels; exact
+        closed, closed_err = [], 0.0
+        while True:
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            u = mid[:, None] + half[:, None] * nodes
+            fx = f((1.0 - u) / u) / (u * u)
+            # per column, not fx @ rule, which OpenBLAS rounds by its kernel and row count
+            k = half * np.add.reduce(fx * kronrod, axis=1)
+            err = np.maximum(abs(k - half * np.add.reduce(fx * gauss, axis=1)), _ROUNDOFF * abs(k))
+            total_err = closed_err + float(np.add.reduce(err))
+            if total_err <= abs_tol:  # a nan estimate is not convergence
+                return math.fsum(closed + k.tolist())
+            # an equal share of what is left: a total above abs_tol leaves a panel above it
+            split = ~(err <= (abs_tol - closed_err) / err.size)
+            splits = len(closed) + err.size - 46  # each split made one panel two
+            if not math.isfinite(total_err) or splits + split.sum() > MAX_SUBDIVISIONS:
+                break
+            closed += k[~split].tolist()
+            closed_err += float(np.add.reduce(err[~split]))
+            # each split panel's halves (a, mid) and (mid, b) in its place: the open panels
+            # stay in ascending order
+            a, b = np.column_stack((a, mid, mid, b))[split].reshape(-1, 2).T
+    worst = int(np.argmax(err))  # the first nan, if there is one
+    raise ConvergenceError(
+        f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} after {splits} "
+        f"subdivisions of u in (0.0, 1.0] ({15 * (46 + 2 * splits)} integrand points); worst panel "
+        f"[{float(a[worst])!r}, {float(b[worst])!r}] with estimated error {err[worst]:.3e}"
+    )
 
 
 def _normalization_integrand(rates: RatePair):
@@ -184,12 +172,12 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_buf) -> list:
+def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_buf, stop) -> list:
     """Draw, evaluate and reduce the chunks at ``starts`` in order; return the list of
     their (sum, M2), or raise FloatingPointError at the first chunk whose sum is not
     finite. ``vals_buf`` holds t and ``k_buf`` the lambda_lo draws and k, as in
     ``entropy_monte_carlo``, one sub-block of its length at a time: the work is
-    elementwise, so no bit moves."""
+    elementwise, so no bit moves. It stops before its next chunk once ``stop`` is set."""
     import numpy as np
 
     hi, lo = rates
@@ -199,6 +187,8 @@ def _mc_stripe(rates: RatePair, n: int, seed: int, starts: range, vals_buf, k_bu
     rng_lo.bit_generator.advance(n + starts[0])
     pairs = []
     for start in starts:
+        if stop.is_set():
+            break
         size = min(MC_CHUNK, n - start)
         vals = vals_buf[:size]
         for sub in range(0, size, k_buf.size):
@@ -256,9 +246,12 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     Raises FloatingPointError, naming the sample, where t - ln k is inf or nan.
     Each stripe raises its own at its first such chunk. The second stripe's
     error is raised only once the first stripe, which holds the lower chunks,
-    has finished, so the error raised is the lowest failing chunk's; either
-    leaves only after the pool thread has been joined.
+    has finished, so the error raised is the lowest failing chunk's. Any
+    exception in the calling thread, a KeyboardInterrupt included, stops the
+    pool thread before its next chunk, and leaves only after it was joined.
     """
+    import threading
+
     import numpy as np
 
     n = int(n)
@@ -269,8 +262,9 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
     cut = -(-len(starts) // stripes)
     # allocated here, not in the pool thread, whose own malloc arena would add to peak memory
     half = -(-MC_CHUNK // 2)
+    stop = threading.Event()
     jobs = [
-        (rates, n, seed, part, np.empty(min(n, MC_CHUNK)), np.empty(min(n, half)))
+        (rates, n, seed, part, np.empty(min(n, MC_CHUNK)), np.empty(min(n, half)), stop)
         for part in (starts[:cut], starts[cut:])[:stripes]
     ]
     if stripes == 1:
@@ -283,7 +277,10 @@ def entropy_monte_carlo(rates: RatePair, n: int, seed: int) -> EstimateWithError
                 second = pool.submit(_mc_stripe, *jobs[1]).result
             except RuntimeError:  # no thread could be started: the same work, here
                 second = lambda: _mc_stripe(*jobs[1])  # noqa: E731
-            pairs = _mc_stripe(*jobs[0]) + second()
+            try:
+                pairs = _mc_stripe(*jobs[0]) + second()
+            finally:  # after the second stripe returned, or on any exception: stop it
+                stop.set()
     total, carry, m2 = 0.0, 0.0, 0.0
     for start, (chunk_sum, chunk_m2) in zip(starts, pairs):
         size = min(MC_CHUNK, n - start)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import stat
 import subprocess
 import sys
@@ -596,6 +597,45 @@ class TestInternalError:
         assert out == ""
         assert err.startswith("error: internal: FloatingPointError: ")
         assert "seed=3" in err
+
+
+class TestInterrupt:
+    def test_keyboard_interrupt_exits_130_with_one_line(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_entropy", interrupted)
+        code, out, err = run(capsys, ["entropy", "--lambda-w", "2", "--lambda-x", "1"])
+        assert code == cli.EXIT_INTERRUPTED == 130
+        assert (out, err) == ("", "error: interrupted\n")
+
+    def test_sigint_stops_a_long_monte_carlo_run_at_once(self):
+        # 4e8 samples take seconds on two stripes; SIGINT lands in them, and both stop
+        # within one chunk: no traceback, no wait for the pool thread's last chunk
+        script = (
+            "import sys\n"
+            "from expsum.cli import main\n"
+            "print('ready', flush=True)\n"
+            "sys.exit(main(['entropy', '--lambda-w', '2', '--lambda-x', '1', '--method', 'mc',"
+            " '--n', '400000000', '--seed', '1']))\n"
+        )
+        src = str(pathlib.Path(expsum.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(0.5)
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            waited = time.monotonic() - sent
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        assert waited < 0.5
 
 
 numpy_positional = functools.partial(

@@ -43,6 +43,13 @@ report were re-recorded when every quadrature moved from [0, T] onto u in
 that no longer go through BLAS; both caps below passed on the new values.
 ``BEFORE_MAPPED_QUADRATURE`` keeps the quadrature lines' values from before,
 and the test below shows that each new one is at least as close to mpmath.
+
+The 18 oracle corpus cases whose values moved were re-recorded when the
+quadrature driver moved from worst-panel-first bisection to breadth-first
+rounds, which close and bisect a different set of panels: six entropy
+values moved by at most 4.5e-16 and sixteen normalization values by one
+ulp. No CLI line and no log-integral value moved, and both caps below
+passed on the new values.
 """
 
 import hashlib

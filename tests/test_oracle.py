@@ -79,22 +79,36 @@ class TestEntropyQuadrature:
         d = RatePair(2.0, 1.0)
         assert abs(entropy_quadrature(d, abs_tol=1e-6) - (2.0 - math.log(2.0))) < 1e-5
 
-    def test_meets_the_tolerance_on_separated_and_near_equal_pairs(self):
+    def test_meets_the_tolerance_on_separated_and_near_equal_pairs(self, monkeypatch):
         """600 seeded pairs, lambda_lo = 10^U(-6, 6): 300 with ratio 10^U(0, 15), where k's
         boundary layer at t = 0 has width lambda_lo/gap, and 300 with ratio 1 + 10^U(-15, 0).
-        Both quadratures at abs_tol 1e-10 are within 1e-9 of the closed form and of 1."""
+        Both quadratures at abs_tol 1e-10 are within 1e-9 of the closed form and of 1, each
+        in at most 4 integrand calls, one kernel call apiece."""
+        calls = []
+        kernel = dist._unit_kernel
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(dist, "_unit_kernel", counted)
         rng = np.random.default_rng(20161121)
         lo = 10.0 ** rng.uniform(-6.0, 6.0, 600)
         ratio = np.concatenate([10.0 ** rng.uniform(0.0, 15.0, 300),
                                 1.0 + 10.0 ** rng.uniform(-15.0, 0.0, 300)])
-        misses = []
+        misses, most_calls = [], 0
         for pair in zip((lo * ratio).tolist(), lo.tolist()):
             rates = RatePair(*pair)
-            errors = (entropy_quadrature(rates) - hypoexp_entropy(rates),
-                      normalization_quadrature(rates) - 1.0)
+            exact = hypoexp_entropy(rates)
+            errors = []
+            for quadrature, target in ((entropy_quadrature, exact), (normalization_quadrature, 1.0)):
+                calls.clear()
+                errors.append(quadrature(rates) - target)
+                most_calls = max(most_calls, len(calls))
             if not max(map(abs, errors)) <= 1e-9:
                 misses.append((pair, errors))
         assert misses == []
+        assert most_calls <= 4
 
     def test_budget_exhaustion_raises(self):
         # the case of the golden exit-3 command: 1e-30 is below what doubles resolve
@@ -113,8 +127,9 @@ class TestEntropyQuadrature:
 
 
 class TestAdaptive:
-    def test_one_integrand_call_per_split(self):
-        # the 46 start panels are one call, and each split's two halves another
+    def test_one_integrand_call_per_round(self):
+        # the 46 start panels are one call, and each later round one call on the two
+        # halves of every panel it bisects, at most every panel the round before left open
         sizes = []
 
         def f(x):
@@ -125,8 +140,14 @@ class TestAdaptive:
         assert abs(value - 18.0 / 37.0) < 1e-11
         assert len(sizes) > 1
         assert sizes[0] == 690
-        assert set(sizes[1:]) == {30}
-        assert sum(sizes) == 15 * (46 + 2 * (len(sizes) - 1))
+        assert all(size % 30 == 0 for size in sizes[1:])
+        assert all(later // 30 <= size // 15 for size, later in zip(sizes, sizes[1:]))
+        sizes.clear()
+        with pytest.raises(ConvergenceError) as info:
+            oracle._adaptive(f, 1e-30)
+        splits = sum(sizes[1:]) // 30
+        assert f"after {splits} subdivisions of u in (0.0, 1.0] " in str(info.value)
+        assert f"({sum(sizes)} integrand points)" in str(info.value)
 
     @pytest.mark.parametrize("column, degree", [(0, 22), (1, 13)])
     def test_rule_columns_integrate_polynomials(self, column, degree):
@@ -155,9 +176,11 @@ class TestAdaptive:
     @pytest.mark.parametrize(
         "integrand, budget, splits",
         [
-            (lambda x: np.exp(-x), 3, 3),
-            # nan only past the start panels' largest x, 935.26: first seen after 7 splits
-            (lambda x: np.where(x > 1e5, np.nan, 1.0), None, 7),
+            # the 46 start panels are all split, and the 92 halves would pass the budget
+            (lambda x: np.exp(-x), 100, 46),
+            # nan only past the start panels' largest x, 935.26: the leftmost panel's nodes
+            # pass 1e4 in the fifth round, after 46 + 92 + 184 + 368 splits
+            (lambda x: np.where(x > 1e4, np.nan, 1.0), None, 690),
         ],
         ids=["budget", "nan"],
     )
@@ -429,8 +452,23 @@ class TestMonteCarlo:
     def test_non_finite_value_in_a_later_chunk_names_its_global_index(self, monkeypatch):
         firsts = self.plant_zeros(monkeypatch, 6 * MC_CHUNK, [MC_CHUNK + 7])
         # with two stripes, chunks 0-2 are the calling thread's and 3-5 the pool thread's;
-        # the failing chunk 1 is the calling thread's last, which never reaches chunk 2
-        for cores, chunks_run in ((1, [0, 1]), (2, [0, 1, 3, 4, 5])):
+        # the failing chunk 1 is the calling thread's last, which never reaches chunk 2. The
+        # pool thread is held in chunk 3 until the failure sets the stripes' stop event, and
+        # runs no chunk after it
+        planted, stripe, stops = dist._unit_kernel, oracle._mc_stripe, []
+
+        def held(*args):
+            if threading.current_thread() is not threading.main_thread():
+                assert stops[-1].wait(10.0)  # this call's event, as both stripes record it
+            return planted(*args)
+
+        def recording(*args):
+            stops.append(args[-1])
+            return stripe(*args)
+
+        monkeypatch.setattr(dist, "_unit_kernel", held)
+        monkeypatch.setattr(oracle, "_mc_stripe", recording)
+        for cores, chunks_run in ((1, [0, 1]), (2, [0, 1, 3])):
             monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
             firsts.clear()
             with pytest.raises(FloatingPointError) as info:
