@@ -546,6 +546,33 @@ class TestVerifyCommand:
         assert len(set(entropy)) == 21 and all(hi != lo for hi, lo in entropy)
         assert len(set(norm)) == 28
 
+    @pytest.mark.parametrize("row", range(4))
+    def test_a_defect_in_one_case_fails_its_own_row_only(self, capsys, monkeypatch, row):
+        # each row's last case is biased past its limit, so a row that did not
+        # reduce over all of its cases would pass; the other rows see no defect
+        grid = np.geomspace(0.1, 10.0, 7).tolist()
+        planted = [
+            (expsum.entropy, "hypoexp_entropy", (RatePair(grid[-1], grid[-2]),),
+             lambda value: value + 1e-6),
+            (oracle, "normalization_quadrature", (RatePair(10.0, 10.0),),
+             lambda value: value + 1e-9),
+            (oracle, "gr_log_integral", (5.0, 5.0), lambda value: value + 1e-7),
+            (oracle, "entropy_monte_carlo", (RatePair(1.01, 1.0), 2000, 46),
+             lambda est: est._replace(estimate=est.estimate + 10.0 * est.std_error)),
+        ]
+        module, name, case, bias = planted[row]
+        true_fn = getattr(module, name)
+
+        def defective(*args, **kwargs):
+            value = true_fn(*args, **kwargs)
+            return bias(value) if args == case else value
+
+        monkeypatch.setattr(module, name, defective)
+        code, out, _ = run(capsys, ["verify", "--seed", "42", "--samples", "2000"])
+        statuses = [line.split()[-1] for line in out.splitlines()[1:5]]
+        assert code == 1
+        assert statuses == ["FAIL" if i == row else "PASS" for i in range(4)], out
+
 
 class TestDeterminism:
     def test_figure_reruns_are_byte_identical(self, capsys, tmp_path):
