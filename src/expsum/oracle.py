@@ -26,6 +26,7 @@ closed form, so agreement checks the latter.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import namedtuple
@@ -81,28 +82,43 @@ _GK15 = (
 _NODES, _KRONROD, _GAUSS = zip(*_GK15)  # the table's columns
 
 
+@functools.cache  # on first use: no numpy at import
+def _first_round():
+    """What every quadrature starts from, read-only: the Kronrod and Gauss columns and the
+    nodes of ``_GK15``; ``_adaptive``'s 46 start panels a, b with their midpoints and
+    half-widths; and the first round's nodes x = (1 - u)/u and Jacobian u^2."""
+    import numpy as np
+
+    nodes, kronrod, gauss = np.array((_NODES, _KRONROD, _GAUSS))
+    edges = np.array((0.0, 0.25, 0.5, 0.75, *(1.0 - 2.0**-k for k in range(3, 45)), 1.0))
+    a, b = edges[:-1], edges[1:]  # exact
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    u = mid[:, None] + half[:, None] * nodes
+    start = (kronrod, gauss, nodes, a, b, mid, half, (1.0 - u) / u, u * u)
+    for array in start:
+        array.flags.writeable = False
+    return start
+
+
 def _adaptive(f, abs_tol: float) -> float:
     """int_0^inf f(x) dx as int_0^1 f((1 - u)/u)/u^2 du, QUADPACK's QAGI map (Piessens et al. 1983),
     by Gauss-Kronrod 15(7) bisection in u, breadth first, from 46 panels with edges 0, 1/4, 1/2,
     3/4, 1 - 2^-k (3 <= k <= 44) and 1: dyadic toward a boundary layer at x = 0, where 1 - u is
     exact. Each round calls f once on the x of all open panels' nodes, a (panels, 15) float array
     whose shape f's result keeps, closes each panel whose error estimate is within an equal share
-    of the tolerance left, and bisects the rest. numpy's overflow, invalid and divide warnings are
-    off. Raises ValueError unless abs_tol is positive and finite."""
+    of the tolerance left, and bisects the rest. The first round's x is ``_first_round``'s, shared
+    and read-only. numpy's overflow, invalid and divide warnings are off. Raises ValueError unless
+    abs_tol is positive and finite."""
     abs_tol = _require_positive(abs_tol, "abs_tol")
     import numpy as np
 
-    nodes, kronrod, gauss = np.array((_NODES, _KRONROD, _GAUSS))  # per call: no numpy at import
+    kronrod, gauss, nodes, a, b, mid, half, x, jac = _first_round()
     # d = gap t overflows exactly; x = 0 at a node rounded to u = 1 gives ln(1 - e^0) = -inf;
     # an inf meets a zero Gauss weight: the nan estimate is reported below, not warned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        edges = np.array((0.0, 0.25, 0.5, 0.75, *(1.0 - 2.0**-k for k in range(3, 45)), 1.0))
-        a, b = edges[:-1], edges[1:]  # the open panels; exact
         closed, closed_err = [], 0.0
         while True:
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            u = mid[:, None] + half[:, None] * nodes
-            fx = f((1.0 - u) / u) / (u * u)
+            fx = f(x) / jac
             # per column, not fx @ rule, which OpenBLAS rounds by its kernel and row count
             k = half * np.add.reduce(fx * kronrod, axis=1)
             err = np.maximum(abs(k - half * np.add.reduce(fx * gauss, axis=1)), _ROUNDOFF * abs(k))
@@ -110,15 +126,19 @@ def _adaptive(f, abs_tol: float) -> float:
             if total_err <= abs_tol:  # a nan estimate is not convergence
                 return math.fsum(closed + k.tolist())
             # an equal share of what is left: a total above abs_tol leaves a panel above it
-            split = ~(err <= (abs_tol - closed_err) / err.size)
+            keep = err <= (abs_tol - closed_err) / err.size
+            split = ~keep
             splits = len(closed) + err.size - 46  # each split made one panel two
-            if not math.isfinite(total_err) or splits + split.sum() > MAX_SUBDIVISIONS:
+            if not math.isfinite(total_err) or splits + np.count_nonzero(split) > MAX_SUBDIVISIONS:
                 break
-            closed += k[~split].tolist()
-            closed_err += float(np.add.reduce(err[~split]))
-            # each split panel's halves (a, mid) and (mid, b) in its place: the open panels
-            # stay in ascending order
-            a, b = np.column_stack((a, mid, mid, b))[split].reshape(-1, 2).T
+            closed += k[keep].tolist()
+            closed_err += float(np.add.reduce(err[keep]))
+            # each split panel's halves (a, mid) and (mid, b) in its place, so the open panels
+            # stay in ascending order, and their nodes as ``_first_round`` forms the start's
+            a, b = np.array((a, mid, mid, b)).T[split].reshape(-1, 2).T
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            u = mid[:, None] + half[:, None] * nodes
+            x, jac = (1.0 - u) / u, u * u
     worst = int(np.argmax(err))  # the first nan, if there is one
     raise ConvergenceError(
         f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} after {splits} "

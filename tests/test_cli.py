@@ -638,10 +638,13 @@ class TestInterrupt:
 
     def test_sigint_stops_a_long_monte_carlo_run_at_once(self):
         # 4e8 samples take seconds on two stripes; SIGINT lands in them, and both stop
-        # within one chunk: no traceback, no wait for the pool thread's last chunk
+        # within one chunk: no traceback, no wait for the pool thread's last chunk. The child
+        # restores Python's SIGINT handler, as it inherits SIGINT ignored from a shell that
+        # ignores it (`trap '' INT`, a background job), and then would run to the end
         script = (
-            "import sys\n"
+            "import signal, sys\n"
             "from expsum.cli import main\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
             "print('ready', flush=True)\n"
             "sys.exit(main(['entropy', '--lambda-w', '2', '--lambda-x', '1', '--method', 'mc',"
             " '--n', '400000000', '--seed', '1']))\n"

@@ -149,6 +149,43 @@ class TestAdaptive:
         assert f"after {splits} subdivisions of u in (0.0, 1.0] " in str(info.value)
         assert f"({sum(sizes)} integrand points)" in str(info.value)
 
+    def test_first_round_is_built_once_and_read_only(self):
+        first = oracle._first_round()
+        assert len(first) == 9
+        assert all(again is array for again, array in zip(oracle._first_round(), first))
+        assert not any(array.flags.writeable for array in first)
+
+    def test_first_round_equals_a_fresh_build_from_the_rule_and_the_start_edges(self):
+        # the edges as _adaptive's docstring gives them, and each value by Python float
+        # arithmetic, which rounds every operation as numpy's does
+        doc = " ".join(oracle._adaptive.__doc__.split())
+        assert "edges 0, 1/4, 1/2, 3/4, 1 - 2^-k (3 <= k <= 44) and 1:" in doc
+        edges = [0.0, 0.25, 0.5, 0.75, *(1.0 - 2.0**-k for k in range(3, 45)), 1.0]
+        a, b = edges[:-1], edges[1:]
+        mid = [0.5 * (lo + hi) for lo, hi in zip(a, b)]
+        half = [0.5 * (hi - lo) for lo, hi in zip(a, b)]
+        nodes, kronrod, gauss = (list(column) for column in zip(*oracle._GK15))
+        u = [[m + h * node for node in nodes] for m, h in zip(mid, half)]
+        x = [[(1.0 - v) / v for v in row] for row in u]
+        jac = [[v * v for v in row] for row in u]
+        fresh = (kronrod, gauss, nodes, a, b, mid, half, x, jac)
+        for got, want in zip(oracle._first_round(), fresh, strict=True):
+            assert got.shape == np.shape(want)
+            assert list(map(float.hex, got.ravel().tolist())) == list(
+                map(float.hex, np.ravel(want).tolist()))
+
+    def test_an_integrand_cannot_write_into_the_shared_nodes(self):
+        x = oracle._first_round()[7]
+        before = x.tobytes()
+
+        def f(x):
+            x += 1.0
+            return x
+
+        with pytest.raises(ValueError, match="read-only"):
+            oracle._adaptive(f, 1e-10)
+        assert x.tobytes() == before
+
     @pytest.mark.parametrize("column, degree", [(0, 22), (1, 13)])
     def test_rule_columns_integrate_polynomials(self, column, degree):
         # K15 is exact to degree 22 and the embedded G7 to degree 13
