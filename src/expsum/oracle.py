@@ -82,68 +82,103 @@ _GK15 = (
 _NODES, _KRONROD, _GAUSS = zip(*_GK15)  # the table's columns
 
 
+#: The start panels whose halves the first integrand call evaluates too, ascending: on rate
+#: pairs the first round splits [0, 1/4], most often [1/4, 1/2] too, and seldom anything else.
+_PRESPLIT = (0, 1)
+
+
 @functools.cache  # on first use: no numpy at import
 def _first_round():
     """What every quadrature starts from, read-only: the Kronrod and Gauss columns and the
     nodes of ``_GK15``; ``_adaptive``'s 46 start panels a, b with their midpoints and
-    half-widths; and the first round's nodes x = (1 - u)/u and Jacobian u^2."""
+    half-widths, then the halves of each ``_PRESPLIT`` panel, (a, mid) and (mid, b), as
+    ``_adaptive`` bisects; the nodes x = (1 - u)/u and Jacobian u^2 of all these rows; and
+    the start panel that each half came from."""
     import numpy as np
 
     nodes, kronrod, gauss = np.array((_NODES, _KRONROD, _GAUSS))
     edges = np.array((0.0, 0.25, 0.5, 0.75, *(1.0 - 2.0**-k for k in range(3, 45)), 1.0))
     a, b = edges[:-1], edges[1:]  # exact
+    mid = 0.5 * (a + b)
+    halves = np.array((a, mid, mid, b)).T[list(_PRESPLIT)].reshape(-1, 2).T
+    a, b = np.concatenate(((a, b), halves), axis=1)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     u = mid[:, None] + half[:, None] * nodes
-    start = (kronrod, gauss, nodes, a, b, mid, half, (1.0 - u) / u, u * u)
+    parent = np.repeat(np.array(_PRESPLIT, dtype=np.intp), 2)
+    start = (kronrod, gauss, nodes, a, b, mid, half, (1.0 - u) / u, u * u, parent)
     for array in start:
         array.flags.writeable = False
     return start
+
+
+def _panel_sums(fx, half, kronrod, gauss):
+    """Each row's Kronrod value and error estimate from the integrand values fx in u."""
+    import numpy as np
+
+    # per column, not fx @ rule, which OpenBLAS rounds by its kernel and row count
+    k = half * np.add.reduce(fx * kronrod, axis=1)
+    return k, np.maximum(abs(k - half * np.add.reduce(fx * gauss, axis=1)), _ROUNDOFF * abs(k))
 
 
 def _adaptive(f, abs_tol: float) -> float:
     """int_0^inf f(x) dx as int_0^1 f((1 - u)/u)/u^2 du, QUADPACK's QAGI map (Piessens et al. 1983),
     by Gauss-Kronrod 15(7) bisection in u, breadth first, from 46 panels with edges 0, 1/4, 1/2,
     3/4, 1 - 2^-k (3 <= k <= 44) and 1: dyadic toward a boundary layer at x = 0, where 1 - u is
-    exact. Each round calls f once on the x of all open panels' nodes, a (panels, 15) float array
-    whose shape f's result keeps, closes each panel whose error estimate is within an equal share
-    of the tolerance left, and bisects the rest. The first round's x is ``_first_round``'s, shared
-    and read-only. numpy's overflow, invalid and divide warnings are off. Raises ValueError unless
-    abs_tol is positive and finite."""
+    exact. Each round closes each open panel whose error estimate is within an equal share of
+    the tolerance left, and bisects the rest. The first call of f covers ``_first_round``'s
+    shared, read-only x: the start panels and the halves of the ``_PRESPLIT`` ones. A second
+    round on those halves alone makes no call; every other round calls f once on the x of all
+    open panels' nodes, a (panels, 15) float array whose shape f's result keeps. A row's sums
+    depend on its nodes alone, so no bit depends on which call evaluated it. numpy's overflow,
+    invalid and divide warnings are off. Raises ValueError unless abs_tol is positive and finite."""
     abs_tol = _require_positive(abs_tol, "abs_tol")
     import numpy as np
 
-    kronrod, gauss, nodes, a, b, mid, half, x, jac = _first_round()
+    kronrod, gauss, nodes, a, b, mid, half, x, jac, parent = _first_round()
+    starts = a.size - parent.size
     # d = gap t overflows exactly; x = 0 at a node rounded to u = 1 gives ln(1 - e^0) = -inf;
     # an inf meets a zero Gauss weight: the nan estimate is reported below, not warned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k, err = _panel_sums(f(x) / jac, half, kronrod, gauss)
+        points = x.size
+        # the start panels' rows open the first round; the halves' rows wait for the second
+        ahead = tuple(array[starts:] for array in (a, b, mid, half, k, err))
+        a, b, mid, half, k, err = (array[:starts] for array in (a, b, mid, half, k, err))
         closed, closed_err = [], 0.0
         while True:
-            fx = f(x) / jac
-            # per column, not fx @ rule, which OpenBLAS rounds by its kernel and row count
-            k = half * np.add.reduce(fx * kronrod, axis=1)
-            err = np.maximum(abs(k - half * np.add.reduce(fx * gauss, axis=1)), _ROUNDOFF * abs(k))
             total_err = closed_err + float(np.add.reduce(err))
             if total_err <= abs_tol:  # a nan estimate is not convergence
                 return math.fsum(closed + k.tolist())
             # an equal share of what is left: a total above abs_tol leaves a panel above it
             keep = err <= (abs_tol - closed_err) / err.size
             split = ~keep
-            splits = len(closed) + err.size - 46  # each split made one panel two
-            if not math.isfinite(total_err) or splits + np.count_nonzero(split) > MAX_SUBDIVISIONS:
+            splits = len(closed) + err.size - starts  # each split made one panel two
+            n_split = np.count_nonzero(split)
+            if not math.isfinite(total_err) or splits + n_split > MAX_SUBDIVISIONS:
                 break
             closed += k[keep].tolist()
             closed_err += float(np.add.reduce(err[keep]))
+            if ahead:  # the second round
+                halves, ahead = ahead, ()
+                rows = split[parent]  # the halves of the split panels
+                if np.count_nonzero(rows) == 2 * n_split:  # and no other panel split
+                    a, b, mid, half, k, err = (array[rows] for array in halves)
+                    continue
             # each split panel's halves (a, mid) and (mid, b) in its place, so the open panels
             # stay in ascending order, and their nodes as ``_first_round`` forms the start's
             a, b = np.array((a, mid, mid, b)).T[split].reshape(-1, 2).T
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             u = mid[:, None] + half[:, None] * nodes
-            x, jac = (1.0 - u) / u, u * u
+            k, err = _panel_sums(f((1.0 - u) / u) / (u * u), half, kronrod, gauss)
+            points += u.size
     worst = int(np.argmax(err))  # the first nan, if there is one
+    cause = ""
+    if np.isnan(err[worst]) and (mid[worst] + half[worst] * nodes == 1.0).any():
+        cause = "; a node of that panel rounds to u = 1.0, where x = 0 and ln(1 - e^(-x)) = -inf"
     raise ConvergenceError(
         f"estimated error {total_err:.3e} above tolerance {abs_tol:.3e} after {splits} "
-        f"subdivisions of u in (0.0, 1.0] ({15 * (46 + 2 * splits)} integrand points); worst panel "
-        f"[{float(a[worst])!r}, {float(b[worst])!r}] with estimated error {err[worst]:.3e}"
+        f"subdivisions of u in (0.0, 1.0] ({points} integrand points); worst panel "
+        f"[{float(a[worst])!r}, {float(b[worst])!r}] with estimated error {err[worst]:.3e}{cause}"
     )
 
 

@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -121,15 +122,17 @@ class TestEntropyQuadrature:
             entropy_quadrature(RatePair(2.0, 1.0))
         assert str(info.value) == (
             "estimated error 8.564e-05 above tolerance 1.000e-10 after 0 subdivisions "
-            "of u in (0.0, 1.0] (690 integrand points); "
+            "of u in (0.0, 1.0] (750 integrand points); "
             "worst panel [0.0, 0.25] with estimated error 8.564e-05"
         )
 
 
 class TestAdaptive:
     def test_one_integrand_call_per_round(self):
-        # the 46 start panels are one call, and each later round one call on the two
-        # halves of every panel it bisects, at most every panel the round before left open
+        # the first call covers the 46 start panels and the halves of the 2 pre-split ones,
+        # and each later round's call the two halves of every panel it bisects, at most every
+        # panel the round before left open; this integrand's first round splits other panels
+        # too, so its second round makes a call
         sizes = []
 
         def f(x):
@@ -139,7 +142,7 @@ class TestAdaptive:
         value = oracle._adaptive(f, 1e-12)  # int_0^inf e^(-x) sin^2(3x) dx = 18/37
         assert abs(value - 18.0 / 37.0) < 1e-11
         assert len(sizes) > 1
-        assert sizes[0] == 690
+        assert sizes[0] == 750
         assert all(size % 30 == 0 for size in sizes[1:])
         assert all(later // 30 <= size // 15 for size, later in zip(sizes, sizes[1:]))
         sizes.clear()
@@ -151,17 +154,20 @@ class TestAdaptive:
 
     def test_first_round_is_built_once_and_read_only(self):
         first = oracle._first_round()
-        assert len(first) == 9
+        assert len(first) == 10
         assert all(again is array for again, array in zip(oracle._first_round(), first))
         assert not any(array.flags.writeable for array in first)
 
     def test_first_round_equals_a_fresh_build_from_the_rule_and_the_start_edges(self):
-        # the edges as _adaptive's docstring gives them, and each value by Python float
-        # arithmetic, which rounds every operation as numpy's does
+        # the edges as _adaptive's docstring gives them, then the halves of [0, 1/4] and
+        # [1/4, 1/2], and each value by Python float arithmetic, which rounds every
+        # operation as numpy's does
         doc = " ".join(oracle._adaptive.__doc__.split())
         assert "edges 0, 1/4, 1/2, 3/4, 1 - 2^-k (3 <= k <= 44) and 1:" in doc
+        assert oracle._PRESPLIT == (0, 1)
         edges = [0.0, 0.25, 0.5, 0.75, *(1.0 - 2.0**-k for k in range(3, 45)), 1.0]
-        a, b = edges[:-1], edges[1:]
+        a = edges[:-1] + [0.0, 0.125, 0.25, 0.375]
+        b = edges[1:] + [0.125, 0.25, 0.375, 0.5]
         mid = [0.5 * (lo + hi) for lo, hi in zip(a, b)]
         half = [0.5 * (hi - lo) for lo, hi in zip(a, b)]
         nodes, kronrod, gauss = (list(column) for column in zip(*oracle._GK15))
@@ -169,7 +175,9 @@ class TestAdaptive:
         x = [[(1.0 - v) / v for v in row] for row in u]
         jac = [[v * v for v in row] for row in u]
         fresh = (kronrod, gauss, nodes, a, b, mid, half, x, jac)
-        for got, want in zip(oracle._first_round(), fresh, strict=True):
+        *first, parent = oracle._first_round()
+        assert parent.tolist() == [0, 0, 1, 1]
+        for got, want in zip(first, fresh, strict=True):
             assert got.shape == np.shape(want)
             assert list(map(float.hex, got.ravel().tolist())) == list(
                 map(float.hex, np.ravel(want).tolist()))
@@ -244,6 +252,131 @@ class TestAdaptive:
             oracle._adaptive(lambda x: np.where(x > 15.0, inf, 1.0), 1e-10)
         assert "after 0 subdivisions of u in (0.0, 1.0]" in str(info.value)
         assert str(info.value).endswith("; worst panel [0.0, 0.25] with estimated error nan")
+
+
+#: log10 of hi/lo for moderate and separated pairs, of hi/lo - 1 for near-equal ones.
+PAIR_CLASSES = {"moderate": (math.log10(1.01), 2.0), "near_equal": (-12.0, -3.0),
+                "separated": (2.0, 6.0)}
+
+
+def seeded_pairs(seed, per_class):
+    """(class, lo, hi) for ``per_class`` seeded pairs of each of ``PAIR_CLASSES``, both
+    rates in [1e-6, 1e6]."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for cls, (low, high) in PAIR_CLASSES.items():
+        x = rng.uniform(low, high, per_class)
+        ratio = 1.0 + 10.0**x if cls == "near_equal" else 10.0**x
+        lo = 10.0 ** rng.uniform(-6.0, 6.0 - np.log10(ratio))
+        pairs += [(cls, a, b) for a, b in zip(lo.tolist(), (lo * ratio).tolist())]
+    return pairs
+
+
+class TestPresplitHalves:
+    """The first integrand call also evaluates the halves of the ``_PRESPLIT`` start panels,
+    and a second round on those halves alone makes no call. The reference is the plain
+    breadth-first driver, with no pre-split panel: a row's sums depend on its nodes alone,
+    so no bit and no error text but the point count may differ."""
+
+    @staticmethod
+    def plain(call):
+        """call() under the plain breadth-first driver."""
+        oracle._first_round.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "_PRESPLIT", ())
+                return call()
+        finally:
+            oracle._first_round.cache_clear()
+
+    @staticmethod
+    def outcomes(calls):
+        """Each call's value as float.hex, or its ConvergenceError text with the integrand
+        point count masked."""
+        outcomes = []
+        for call in calls:
+            try:
+                outcomes.append(call().hex())
+            except ConvergenceError as error:
+                outcomes.append(re.sub(r"\(\d+ integrand points\)", "(N integrand points)",
+                                       str(error)))
+        return outcomes
+
+    @staticmethod
+    def quadratures(pairs, abs_tol):
+        """entropy, normalization and both orders of the log integral at each (lo, hi)."""
+        calls = []
+        for _, lo, hi in pairs:
+            rates = RatePair(hi, lo)
+            calls += [
+                lambda rates=rates: entropy_quadrature(rates, abs_tol=abs_tol),
+                lambda rates=rates: normalization_quadrature(rates, abs_tol=abs_tol),
+                lambda lo=lo, hi=hi: gr_log_integral(lo, hi, abs_tol=abs_tol),
+                lambda lo=lo, hi=hi: gr_log_integral(hi, lo, abs_tol=abs_tol),
+            ]
+        return calls
+
+    def test_every_value_matches_the_plain_driver_bit_for_bit(self):
+        calls = self.quadratures(seeded_pairs(36, 200), 1e-10)
+        got = self.outcomes(calls)
+        assert got == self.plain(lambda: self.outcomes(calls))
+        assert not any(outcome.startswith("estimated") for outcome in got)
+
+    @pytest.mark.parametrize("budget, abs_tol, stops", [
+        (0, 1e-10, {"0"}),  # in the first round
+        (2, 1e-10, {"2"}),  # in a second round on the halves
+        (3, 1e-10, {"2", "3"}),  # in the second or third round
+        # a tolerance below what doubles resolve: the budget, or the log integral's nan at u = 1
+        (MAX_SUBDIVISIONS, 1e-30, None),
+    ])
+    def test_every_convergence_error_matches_the_plain_driver(
+        self, monkeypatch, budget, abs_tol, stops
+    ):
+        monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", budget)
+        calls = self.quadratures(seeded_pairs(36, 10), abs_tol)
+        got = self.outcomes(calls)
+        assert got == self.plain(lambda: self.outcomes(calls))
+        raised = [outcome for outcome in got if outcome.startswith("estimated")]
+        if stops is None:
+            assert {"error nan" in outcome for outcome in raised} == {True, False}
+        else:
+            assert {re.search(r"after (\d+) ", outcome)[1] for outcome in raised} == stops
+
+    @pytest.mark.parametrize("integrand, abs_tol, second_call", [
+        # the first round splits [0, 1/4] and [1/4, 1/2]: the second round makes no call
+        (oracle._entropy_integrand(RatePair(2.0, 1.0)), 1e-10, False),
+        # it splits [0, 1/4] alone, or [1/4, 1/2] alone: no call, on those halves alone
+        (lambda x: np.exp(-x) * np.sin(0.1 * x) ** 2, 1e-6, False),
+        (lambda x: 1.0 / (1.0 + (x - 2.0) ** 2) / (1.0 + x) ** 2, 1e-6, False),
+        # it splits [1/2, 3/4] too: the second round bisects and calls as the plain one does
+        (lambda x: np.exp(-((x - 0.1) ** 2)), 1e-12, True),
+    ], ids=["entropy_2_1", "only_first", "only_second", "third_too"])
+    def test_a_second_round_on_the_halves_alone_makes_no_call(self, integrand, abs_tol,
+                                                              second_call):
+        def run():
+            seen = []
+
+            def f(x):
+                seen.append(x.size)
+                return integrand(x)
+
+            return oracle._adaptive(f, abs_tol).hex(), seen
+
+        value, seen = run()
+        plain_value, plain_seen = self.plain(run)
+        assert value == plain_value
+        assert plain_seen[0] == 690
+        assert seen == [750, *plain_seen[1 if second_call else 2:]]
+
+    def test_nan_at_u_one_names_its_cause(self):
+        with pytest.raises(ConvergenceError) as info:
+            gr_log_integral(1.0, 1.0, abs_tol=1e-30)
+        assert str(info.value) == (
+            "estimated error nan above tolerance 1.000e-30 after 322 subdivisions of u in "
+            "(0.0, 1.0] (10410 integrand points); worst panel [0.9999999999999929, 1.0] with "
+            "estimated error nan; a node of that panel rounds to u = 1.0, where x = 0 and "
+            "ln(1 - e^(-x)) = -inf"
+        )
 
 
 def allocating_integrands(rates, a, b, x):
@@ -682,24 +815,56 @@ except ConvergenceError:
                     misses.append((u, v, value, float(exact)))
         assert misses == []
 
-    #: log10 of hi/lo for moderate and separated pairs, of hi/lo - 1 for near-equal ones.
-    PAIR_CLASSES = {"moderate": (math.log10(1.01), 2.0), "near_equal": (-12.0, -3.0),
-                    "separated": (2.0, 6.0)}
-
     def test_relative_error_is_at_most_abs_tol(self, mp):
         """abs_tol bounds the error of J, the integral in the scale s = max(u, v) x,
         and |J| >= 1, so the value's relative error is at most about abs_tol. Rates
         1e-6 to 1e6, each pair as (lo, hi) and as (hi, lo)."""
         tol = 1e-10
-        rng = np.random.default_rng(20161121)
         worst = (0.0,)
-        for cls, (low, high) in self.PAIR_CLASSES.items():
-            x = rng.uniform(low, high, 100)
-            ratio = 1.0 + 10.0**x if cls == "near_equal" else 10.0**x
-            lo = 10.0 ** rng.uniform(-6.0, 6.0 - np.log10(ratio))
-            for a, b in zip(lo.tolist(), (lo * ratio).tolist()):
-                for u, v in ((a, b), (b, a)):
-                    exact = mp_log_integral(mp, u, v)
-                    err = float(abs(gr_log_integral(u, v, abs_tol=tol) - exact) / abs(exact))
-                    worst = max(worst, (err, cls, u, v))
+        for cls, a, b in seeded_pairs(20161121, 100):
+            for u, v in ((a, b), (b, a)):
+                exact = mp_log_integral(mp, u, v)
+                err = float(abs(gr_log_integral(u, v, abs_tol=tol) - exact) / abs(exact))
+                worst = max(worst, (err, cls, u, v))
         assert worst[0] <= tol, worst
+
+
+class TestScaleEquivariance:
+    """Both rates scaled by 2^k. The unit-scale integrands depend on the pair only through
+    (hi - lo)/lo and hi/(hi - lo), and ``gr_log_integral`` only through u/c and v/c, each
+    exact under the scaling wherever every input and value stays normal."""
+
+    @staticmethod
+    def scaled_cases():
+        """(rates, scaled rates, k) for 60 seeded pairs of each class, rates in [1e-6, 1e6],
+        k drawn from [-900, 900] with both ends included: every scaled rate is normal."""
+        pairs = seeded_pairs(18, 60)
+        ks = np.random.default_rng(18).integers(-900, 901, len(pairs)).tolist()
+        ks[:2] = [-900, 900]
+        cases = []
+        for (_, lo, hi), k in zip(pairs, ks):
+            scaled = RatePair(math.ldexp(hi, k), math.ldexp(lo, k))
+            assert sys.float_info.min <= scaled.lambda_lo <= scaled.lambda_hi < math.inf
+            cases.append((RatePair(hi, lo), scaled, k))
+        return cases
+
+    def test_unit_scale_integrals_keep_every_bit(self):
+        for rates, scaled, _ in self.scaled_cases():
+            for integral in (lambda r: oracle._adaptive(oracle._entropy_integrand(r), 1e-10),
+                             normalization_quadrature):
+                assert integral(scaled).hex() == integral(rates).hex()
+
+    def test_log_integral_scales_by_exactly_2_to_the_minus_k(self):
+        for (hi, lo), (scaled_hi, scaled_lo), k in self.scaled_cases():
+            for u, v, scaled_u, scaled_v in ((lo, hi, scaled_lo, scaled_hi),
+                                             (hi, lo, scaled_hi, scaled_lo)):
+                value = gr_log_integral(scaled_u, scaled_v)
+                assert sys.float_info.min <= abs(value) < math.inf
+                assert value.hex() == math.ldexp(gr_log_integral(u, v), -k).hex()
+
+    def test_entropy_quadrature_shifts_by_minus_k_ln_2(self):
+        # -ln lambda_lo takes the shift, with a rounding or two of the largest term
+        for rates, scaled, k in self.scaled_cases():
+            h, shift = entropy_quadrature(rates), k * math.log(2.0)
+            h_scaled = entropy_quadrature(scaled)
+            assert abs(h_scaled - (h - shift)) <= 4 * math.ulp(max(abs(h), abs(shift), abs(h_scaled)))
