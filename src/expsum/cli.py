@@ -9,6 +9,7 @@ every error raised after them, a ValueError included, maps to 3, 4 or 5.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -258,21 +259,58 @@ FIGURES = {
 RENDERERS = {"csv": _render_csv, "json": _render_json}
 
 
+@functools.cache  # on first use: no ctypes at import
+def _renameat2():
+    """libc's ``renameat2``, or None where libc has none (macOS, musl, Windows)."""
+    import ctypes
+
+    try:
+        fn = ctypes.CDLL(None).renameat2
+    except (AttributeError, OSError, TypeError):  # TypeError: Windows loads no library None
+        return None
+    fn.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _exchange(a: str, b: str) -> bool:
+    """Swap the files named ``a`` and ``b`` in one atomic step, as Linux's
+    ``renameat2(AT_FDCWD, a, AT_FDCWD, b, RENAME_EXCHANGE)`` does; False, with
+    nothing moved, where libc has no ``renameat2`` or the call fails (EINVAL,
+    ENOSYS, EPERM from the filesystem or a seccomp filter)."""
+    renameat2 = _renameat2()
+    at_fdcwd, rename_exchange = -100, 2  # Linux's values
+    return renameat2 is not None and renameat2(
+        at_fdcwd, os.fsencode(a), at_fdcwd, os.fsencode(b), rename_exchange) == 0
+
+
 def _write_out(path: str, pieces) -> None:
     """Write the text ``pieces`` to ``path``. A regular file, or the one a symlink names, is
-    replaced all or nothing, by a new file with its mode (0o666 less the umask where there
-    was none) renamed over it. Anything else, such as /dev/null, is written in place."""
+    replaced all or nothing by a new file in its directory with its mode (0o666 less the umask
+    where there was none): ``.<name>.<pid>``, or the first free one of ``.<name>.<pid>.1``,
+    ``.2``, ... past files a killed run left, which stay untouched. An old file is swapped
+    with the new one by ``_exchange`` and then unlinked; where the swap fails, and where there
+    was no old file, the new file is renamed over the path. A rename over a file makes ext4
+    write the new file's blocks to disk first and the swap does not, so a power loss may leave
+    the new file incomplete. Anything else, such as /dev/null, is written in place."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             return fh.writelines(pieces)
-    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}")
-    fh = open(tmp, "x", encoding="utf-8", newline="")  # mode 0o666 less the umask
+    stem = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}")
+    for tmp in itertools.chain([stem], (f"{stem}.{n}" for n in itertools.count(1))):
+        try:
+            fh = open(tmp, "x", encoding="utf-8", newline="")  # mode 0o666 less the umask
+            break
+        except FileExistsError:
+            pass
     try:
         with fh:
             fh.writelines(pieces)
         if os.path.exists(target):
             os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+            if _exchange(tmp, target):
+                return os.unlink(tmp)  # the old file, under the new file's name since the swap
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -382,13 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code  # argparse exits with an int: 0 after --help, 2 on an argument error
-    try:
-        return args.func(args)
     except oracle.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -1,5 +1,6 @@
 """CLI surface: output records, validation exits, figure files, verify."""
 
+import argparse
 import functools
 import hashlib
 import json
@@ -478,6 +479,26 @@ class TestFigureCommand:
         assert (code, out) == (cli.EXIT_INTERNAL, "")
         assert err.startswith("error: internal: ValueError: ")
 
+    @pytest.fixture(params=["exchange", "no_renameat2", "renameat2_fails"])
+    def write_path(self, request, monkeypatch):
+        """How ``--out`` replaces an existing file. "exchange": a rename over an existing
+        file raises, so only the swap can pass. The others: libc's ``renameat2`` is missing
+        or fails, so the rename over the old file runs."""
+        if request.param == "exchange":
+            replace = os.replace
+
+            def replace_onto_a_free_name(src, dst):
+                if os.path.lexists(dst):
+                    raise PermissionError(f"rename over the existing file {dst}")
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace_onto_a_free_name)
+        elif request.param == "no_renameat2":
+            monkeypatch.setattr(cli, "_renameat2", lambda: None)
+        else:
+            monkeypatch.setattr(cli, "_renameat2", lambda: lambda *args: -1)
+
+    @pytest.mark.usefixtures("write_path")
     def test_failed_figure_leaves_the_old_file(self, capsys, tmp_path):
         out = tmp_path / "fig1.csv"
         out.write_bytes(b"old bytes\n")
@@ -486,6 +507,7 @@ class TestFigureCommand:
         assert out.read_bytes() == b"old bytes\n"
         assert os.listdir(tmp_path) == ["fig1.csv"]  # the new file was removed
 
+    @pytest.mark.usefixtures("write_path")
     def test_out_replaces_the_file_a_symlink_names_and_keeps_its_mode(self, capsys, tmp_path):
         argv = ["figure", "fig1", "--grid-points", "5"]
         expected = run(capsys, argv)[1].encode()
@@ -505,10 +527,55 @@ class TestFigureCommand:
         assert stat.S_IMODE(new.stat().st_mode) == 0o664  # 0o666 less the umask
         assert sorted(os.listdir(tmp_path)) == ["fig1.csv", "link.csv", "new.csv"]
 
+    @pytest.mark.usefixtures("write_path")
     def test_out_to_a_device_is_written_in_place(self, capsys):
         assert run(capsys, ["figure", "fig1", "--grid-points", "5", "--out", os.devnull]) == (
             0, "", "")
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("at", ["rendering", "rename", "swap"])
+    def test_interrupt_leaves_one_complete_file_and_no_other(
+            self, capsys, tmp_path, monkeypatch, at):
+        # Ctrl-C while the rows are rendered, as the rename over the old file starts (libc
+        # without renameat2), or just after the swap, before the old file is unlinked
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        renameat2 = cli._renameat2()
+
+        def swapped_then_interrupted(*args):
+            assert renameat2(*args) == 0
+            raise KeyboardInterrupt
+
+        argv = ["figure", "fig1", "--grid-points", "5"]
+        expected = run(capsys, argv)[1].encode()
+        out = tmp_path / "fig1.csv"
+        out.write_bytes(b"old bytes\n")
+        if at == "rendering":
+            monkeypatch.setattr(cli, "_fmt17_list", interrupted)
+        elif at == "rename":
+            monkeypatch.setattr(cli, "_renameat2", lambda: None)
+            monkeypatch.setattr(os, "replace", interrupted)
+        else:
+            monkeypatch.setattr(cli, "_renameat2", lambda: swapped_then_interrupted)
+        assert run(capsys, [*argv, "--out", str(out)]) == (
+            cli.EXIT_INTERRUPTED, "", "error: interrupted\n")
+        assert out.read_bytes() == (expected if at == "swap" else b"old bytes\n")
+        assert os.listdir(tmp_path) == ["fig1.csv"]
+
+    @pytest.mark.usefixtures("write_path")
+    def test_files_a_killed_run_left_are_passed_over_untouched(self, capsys, tmp_path):
+        argv = ["figure", "fig1", "--grid-points", "5"]
+        expected = run(capsys, argv)[1].encode()
+        out = tmp_path / "fig1.csv"
+        out.write_bytes(b"old bytes\n")
+        stale = [tmp_path / f".fig1.csv.{os.getpid()}", tmp_path / f".fig1.csv.{os.getpid()}.1"]
+        for path in stale:
+            path.write_bytes(b"stale bytes\n")
+        assert run(capsys, [*argv, "--out", str(out)]) == (0, "", "")
+        assert out.read_bytes() == expected
+        assert [path.read_bytes() for path in stale] == [b"stale bytes\n"] * 2
+        assert sorted(os.listdir(tmp_path)) == sorted(["fig1.csv", *(p.name for p in stale)])
 
 
 class TestVerifyCommand:
@@ -635,6 +702,17 @@ class TestInterrupt:
         code, out, err = run(capsys, ["entropy", "--lambda-w", "2", "--lambda-x", "1"])
         assert code == cli.EXIT_INTERRUPTED == 130
         assert (out, err) == ("", "error: interrupted\n")
+
+    @pytest.mark.parametrize("owner, stage", [(cli, "build_parser"),
+                                              (argparse.ArgumentParser, "parse_args")],
+                             ids=["build_parser", "parse_args"])
+    def test_keyboard_interrupt_while_parsing_exits_130(self, capsys, monkeypatch, owner, stage):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(owner, stage, interrupted)
+        code, out, err = run(capsys, ["entropy", "--lambda-w", "2", "--lambda-x", "1"])
+        assert (code, out, err) == (cli.EXIT_INTERRUPTED, "", "error: interrupted\n")
 
     def test_sigint_stops_a_long_monte_carlo_run_at_once(self):
         # 4e8 samples take seconds on two stripes; SIGINT lands in them, and both stop
@@ -847,7 +925,7 @@ class TestImports:
         script = """
 import contextlib, io, sys
 import expsum, expsum.cli
-loaded = [("numpy" in sys.modules, "dataclasses" in sys.modules)]
+loaded = [("numpy" in sys.modules, "dataclasses" in sys.modules, "ctypes" in sys.modules)]
 for argv in (
     ["entropy", "--lambda-w", "2", "--lambda-x", "1", "--method", "closed"],
     ["mi", "--signal-rate", "1", "--noise-rate", "2"],
@@ -856,7 +934,7 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert expsum.cli.main(argv) == 0
-    loaded.append(("numpy" in sys.modules, "dataclasses" in sys.modules))
+    loaded.append(("numpy" in sys.modules, "dataclasses" in sys.modules, "ctypes" in sys.modules))
 print(loaded)
 """
         src = str(pathlib.Path(expsum.__file__).resolve().parent.parent)
@@ -866,7 +944,7 @@ print(loaded)
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == str([(False, False)] * 4)
+        assert proc.stdout.strip() == str([(False, False, False)] * 4)
 
     def test_one_chunk_monte_carlo_does_not_load_concurrent_futures(self):
         # only the two-stripe path imports it, which one chunk never takes
